@@ -4,11 +4,14 @@
 Two sections:
 
 1. agreement: worst relative error between the recurrent reference and the
-   convolutional / chunked-parallel / selective forms on random instances,
-   plus the finite-difference gradient check.
+   convolutional / chunked-parallel / selective forms and the decoder's
+   chunked bank scan on random instances, plus the finite-difference
+   gradient check.
 2. timing: median ns per element for the recurrent and parallel scans over
    a ladder of sequence lengths and worker counts, with a column confirming
-   that every worker count produced byte-identical output.
+   that every worker count produced byte-identical output; then median ns
+   per state update (channels x length x state size) of the bank scan over
+   the same ladder.
 
     python3 scripts/kernel_report.py
     python3 scripts/kernel_report.py --instances 200 --lengths 1024,65536
@@ -20,7 +23,9 @@ import time
 
 import numpy as np
 
+from ssmad.blocks import ssm_bank_scan
 from ssmad.ssm import (
+    SsmDiscrete,
     SelectiveInputs,
     SsmParams,
     build_conv_kernel,
@@ -30,6 +35,7 @@ from ssmad.ssm import (
     scan_parallel,
     scan_recurrent,
     selective_scan,
+    zoh,
 )
 from ssmad.tensor import Rng
 
@@ -49,7 +55,7 @@ def rel(got, want):
 
 def agreement_section(instances, max_len, seed):
     rng = Rng(seed)
-    worst = {"convolution": 0.0, "parallel": 0.0, "selective": 0.0}
+    worst = {"convolution": 0.0, "parallel": 0.0, "selective": 0.0, "bank": 0.0}
     for _ in range(instances):
         n = 1 + int(rng.uniform(1, 0, 8)[0])
         length = 1 + int(rng.uniform(1, 0, max_len)[0])
@@ -73,6 +79,18 @@ def agreement_section(instances, max_len, seed):
         )
         y = selective_scan(s).array
         worst["selective"] = max(worst["selective"], rel(y, y_ref))
+
+        # a bank of four channels: this instance plus three with other steps
+        a = np.broadcast_to(p.a, (4, n))
+        b = np.broadcast_to(p.b, (4, n))
+        c = np.broadcast_to(p.c, (4, n))
+        delta = np.append(p.delta, rng.uniform(3, 0.05, 1.0))
+        xs = np.stack([x, *rng.uniform(3 * length, -1.0, 1.0).reshape(3, length)])
+        y_bank = ssm_bank_scan(a, b, c, delta, xs)
+        for ch in range(4):
+            a_bar, b_bar = zoh(a[ch], delta[ch], b[ch])
+            y_ch = scan_recurrent(SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c[ch]), xs[ch]).array
+            worst["bank"] = max(worst["bank"], rel(y_bank[ch], y_ch))
 
     grad_worst = max(
         gradcheck(1 + i % 16, 1 + i % 4, seed=seed * 100 + i)["max_rel_error"]
@@ -117,6 +135,19 @@ def timing_section(lengths, workers_list, repeats, seed):
         same = all(o == outs[0] for o in outs)
         row.append("      yes" if same else "       NO")
         print("".join(row))
+
+    channels = 16
+    a = rng.uniform(channels * n, -2.0, -0.01).reshape(channels, n)
+    b = rng.uniform(channels * n, -1.0, 1.0).reshape(channels, n)
+    c = rng.uniform(channels * n, -1.0, 1.0).reshape(channels, n)
+    delta = rng.uniform(channels, 0.05, 1.0)
+    print()
+    print(f"median ns/state update (ssm_bank_scan, {channels} channels, state size {n}):")
+    print("  length    bank")
+    for length in lengths:
+        x = rng.uniform(channels * length, -1.0, 1.0).reshape(channels, length)
+        ns = median_ns(lambda: ssm_bank_scan(a, b, c, delta, x), channels * length * n, repeats)
+        print(f"  {length:<8d}{ns:6.2f}")
 
 
 def main():

@@ -244,10 +244,11 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     acc_a[:length] = a
     acc_b[:length] = b
 
+    # hi and lo are disjoint strided views, so the in-place updates are safe
     step = 1
     while step < n:
-        hi = np.arange(2 * step - 1, n, 2 * step)
-        lo = hi - step
+        hi = slice(2 * step - 1, n, 2 * step)
+        lo = slice(step - 1, n, 2 * step)
         acc_b[hi] += acc_a[hi] * acc_b[lo]
         acc_a[hi] *= acc_a[lo]
         step *= 2
@@ -255,8 +256,8 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     step = n
     while step >= 2:
         half = step // 2
-        hi = np.arange(step + half - 1, n, step)
-        lo = hi - half
+        hi = slice(step + half - 1, n, step)
+        lo = slice(step - 1, n - half, step)
         acc_b[hi] += acc_a[hi] * acc_b[lo]
         acc_a[hi] *= acc_a[lo]
         step = half

@@ -248,17 +248,25 @@ def test_scan_path_permutation_consistency(method, direction):
     np.testing.assert_allclose(out, x, rtol=1e-6, atol=1e-9)
 
 
-def test_bank_scan_matches_single_channel_kernel():
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 53, 1024])
+def test_bank_scan_matches_single_channel_kernel(length, n):
+    # lengths below, at, one past and between multiples of the chunk, and
+    # many chunks; channel 0 has a = 0, the series branch of zoh, where every
+    # power of a_bar is exactly 1
     from ssmad.ssm import SsmDiscrete, scan_recurrent
 
-    rng = np.random.default_rng(23)
-    channels, n, length = 3, 4, 17
+    rng = np.random.default_rng(23 + length + n)
+    channels = 4
     a = -rng.uniform(0.1, 2, (channels, n))
+    a[0] = 0.0
     b = rng.uniform(-1, 1, (channels, n))
     c = rng.uniform(-1, 1, (channels, n))
-    delta = rng.uniform(0.05, 0.5, channels)
+    delta = rng.uniform(0.05, 1.0, channels)
+    delta[-1] = 1.0
     seq = rng.standard_normal((channels, length))
     got = ssm_bank_scan(a, b, c, delta, seq)
+    assert got.shape == (channels, length)
     for ch in range(channels):
         a_bar, b_bar = zoh(a[ch], delta[ch], b[ch])
         d = SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c[ch])

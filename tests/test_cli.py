@@ -146,6 +146,7 @@ def test_ssm_check_passes():
         "parallel_vs_recurrent",
         "selective_lti_reduction",
         "gradcheck",
+        "bank_vs_recurrent",
     ):
         assert report[key]["pass"] is True
         assert report[key]["worst_rel_error"] <= report[key]["tolerance"]

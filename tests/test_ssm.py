@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssmad.ssm import (
@@ -234,6 +234,7 @@ def test_parallel_bit_identical_across_workers(length):
 
 @settings(max_examples=40, deadline=None)
 @given(length=st.integers(1, 300), seed=st.integers(0, 2**31))
+@example(length=1, seed=5902243)  # the mixed signal nearly cancels
 def test_scan_linearity(length, seed):
     rng = np.random.default_rng(seed)
     d = SsmDiscrete(
@@ -244,9 +245,15 @@ def test_scan_linearity(length, seed):
     x1 = rng.standard_normal(length)
     x2 = rng.standard_normal(length)
     alpha, beta = 0.7, -1.3
+    y1 = _out(scan_recurrent(d, x1))
+    y2 = _out(scan_recurrent(d, x2))
     lhs = _out(scan_recurrent(d, alpha * x1 + beta * x2))
-    rhs = alpha * _out(scan_recurrent(d, x1)) + beta * _out(scan_recurrent(d, x2))
-    assert _rel(lhs, rhs) <= 1e-6
+    rhs = alpha * y1 + beta * y2
+    # each float32 output carries rounding relative to its own magnitude, so
+    # the bound scales with the terms of the combination, not with rhs,
+    # which can nearly cancel
+    scale = abs(alpha) * np.max(np.abs(y1)) + abs(beta) * np.max(np.abs(y2))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-6 * max(float(scale), 1e-30)
 
 
 def test_output_bound_for_stable_modes():
