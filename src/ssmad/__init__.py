@@ -14,7 +14,6 @@ from .scans import (
     ScanDirection,
     ScanMethod,
     ScanSchedule,
-    apply_direction,
     base_schedule,
     gather_sequence,
     hilbert_matrix,

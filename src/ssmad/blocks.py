@@ -16,9 +16,12 @@ The hybrid-scan block (``hss_forward``) runs, from input G:
               scatter_d(per-channel SSM scan(gather_d(main)))
     out   = Linear_out(LN(scans) * SiLU(Linear_gate(u))) + G
 
-Each direction owns an independent bank of E*C single-channel SSMs; the sum
-over directions runs in a fixed index order so results are reproducible for
-any worker count.
+Each direction owns an independent bank of E*C single-channel SSMs.  The K
+directions are stacked into one bank of K*E*C channels: the sequence is
+gathered along every order into one (K*E*C, L) array, scanned by a single
+``ssm_bank_scan`` call, and each direction's slice is added back on the grid
+in the fixed direction order.  No threads are used, so every output byte
+depends only on the parameters and the input.
 
 A bank's discretised a_bar, b_bar and c do not change along the sequence,
 so ``ssm_bank_scan`` evaluates it in the blocked form of Mamba-2's
@@ -37,13 +40,12 @@ residual connection.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .scans import ScanDirection, ScanMethod, gather_sequence, make_schedule, scatter_sequence
+from .scans import ScanDirection, ScanMethod, make_schedule
 from .ssm import _affine_scan, zoh
 from .tensor import Rng, Tensor
 
@@ -425,19 +427,11 @@ def ssm_bank_scan(
 # block forwards
 
 
-def _direction_pass(
-    main_flat: np.ndarray, p: HssParams, k: int, h: int, w: int
-) -> np.ndarray:
-    sched = make_schedule(p.method, p.directions[k], h, w)
-    seq = main_flat[:, sched.order]
-    y = ssm_bank_scan(p.bank.a[k], p.bank.b[k], p.bank.c[k], p.bank.delta[k], seq)
-    out = np.empty_like(y)
-    out[:, sched.order] = y
-    return out
-
-
 def hss_forward(g: Tensor, p: HssParams, workers: int = 1) -> Tensor:
-    """One hybrid-scan block; see the module docstring for the dataflow."""
+    """One hybrid-scan block; see the module docstring for the dataflow.
+
+    ``workers`` has no effect: the K directions run as one bank call.
+    """
     if g.ndim != 3 or g.shape[0] != p.channels:
         raise ValueError(f"expected ({p.channels}, H, W) input, got {g.shape}")
     x = g.array
@@ -446,20 +440,25 @@ def hss_forward(g: Tensor, p: HssParams, workers: int = 1) -> Tensor:
     u = layer_norm(x, p.ln_pre_scale, p.ln_pre_shift)
     main = pointwise_conv(u, p.in_weight, p.in_bias)
     main = silu(dwconv2d(main, p.dw_weight, p.dw_bias))
-    main_flat = main.reshape(p.inner_channels, h * w)
+    inner = p.inner_channels
+    main_flat = main.reshape(inner, h * w)
 
-    k = len(p.directions)
-    if workers <= 1 or k == 1:
-        parts = [_direction_pass(main_flat, p, i, h, w) for i in range(k)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, k)) as pool:
-            parts = list(
-                pool.map(lambda i: _direction_pass(main_flat, p, i, h, w), range(k))
-            )
-    acc = np.zeros((p.inner_channels, h * w), dtype=np.float64)
-    for part in parts:  # fixed summation order, independent of workers
-        acc += part
-    scans = acc.astype(np.float32).reshape(p.inner_channels, h, w)
+    # row k * inner + c of the stacked bank and sequence is channel c of
+    # direction k
+    rows = len(p.directions) * inner
+    scheds = [make_schedule(p.method, d, h, w) for d in p.directions]
+    seq = np.concatenate([main_flat[:, s.order] for s in scheds])
+    y = ssm_bank_scan(
+        p.bank.a.reshape(rows, -1),
+        p.bank.b.reshape(rows, -1),
+        p.bank.c.reshape(rows, -1),
+        p.bank.delta.reshape(rows),
+        seq,
+    )
+    acc = np.zeros((inner, h * w), dtype=np.float64)
+    for k, s in enumerate(scheds):  # fixed summation order
+        acc += y[k * inner:(k + 1) * inner, s.inverse]
+    scans = acc.astype(np.float32).reshape(inner, h, w)
 
     normed = layer_norm(scans, p.ln_post_scale, p.ln_post_shift)
     gate = silu(pointwise_conv(u, p.gate_weight, p.gate_bias))
@@ -474,7 +473,8 @@ def _local_branch(x: np.ndarray, p: LocalBranchParams) -> np.ndarray:
 
 
 def lss_forward(x: Tensor, p: LssParams, workers: int = 1) -> Tensor:
-    """Cascade + local branches + 1x1 fuse + residual."""
+    """Cascade + local branches + 1x1 fuse + residual; ``workers`` has no
+    effect."""
     if x.ndim != 3 or x.shape[0] != p.channels:
         raise ValueError(f"expected ({p.channels}, H, W) input, got {x.shape}")
     g = x

@@ -290,6 +290,8 @@ def _load_pyramid(paths) -> FeaturePyramid:
             raise CliError(f"cannot read pyramid file {path}") from None
         except MbtError as exc:
             raise CliError(f"{path}: {exc}") from None
+        if not np.isfinite(tensors[-1].array).all():
+            raise CliError(f"{path}: pyramid tensor has non-finite values")
     try:
         return FeaturePyramid(scales=tuple(tensors))
     except ValueError as exc:
@@ -399,6 +401,8 @@ def _load_manifest_samples(path: str):
             raise CliError(f"sample {i} malformed: {exc}") from None
         if image_label not in (0, 1):
             raise CliError(f"sample {i}: image_label must be 0 or 1")
+        if not np.isfinite(image_score):
+            raise CliError(f"sample {i}: image_score must be finite, got {image_score}")
         category = sample.get("category", "all")
         parsed.append(
             (
@@ -419,6 +423,8 @@ def _evaluate_samples(samples, fpr_limit: float) -> MetricsReport:
             t = read_tensor_file(map_path)
         except (FileNotFoundError, MbtError) as exc:
             raise CliError(f"{map_path}: {exc}") from None
+        if not np.isfinite(t.array).all():
+            raise CliError(f"{map_path}: score map has non-finite values")
         try:
             m = read_mask_pgm_file(mask_path)
         except (FileNotFoundError, PgmError) as exc:

@@ -242,7 +242,8 @@ def decoder_forward(
     params: DecoderParams,
     workers: int = 1,
 ) -> FeaturePyramid:
-    """Reconstruct a pyramid whose shapes mirror the encoder's."""
+    """Reconstruct a pyramid whose shapes mirror the encoder's; ``workers``
+    has no effect."""
     if fused.ndim != 3:
         raise ValueError("fused input must be (C, H, W)")
 
@@ -320,36 +321,20 @@ def anomaly_map(
     recon: FeaturePyramid,
     out_h: int | None = None,
     out_w: int | None = None,
-    combine: str = "resize-sum",
 ) -> AnomalyScoreMap:
-    """Sum of per-scale cosine-distance maps at a common resolution.
-
-    combine = "resize-sum" (default) resizes each per-scale map to the
-    output resolution before summing; "sum-resize" resizes every map to the
-    deepest scale, sums there, and resizes the total once.
-    """
+    """Sum of per-scale cosine-distance maps at a common resolution: each
+    per-scale map is resized to the output resolution, then the maps are
+    summed."""
     if out_h is None or out_w is None:
         th, tw = target.top_resolution
         out_h = out_h or th
         out_w = out_w or tw
-    per_scale = []
+    total = np.zeros((out_h, out_w), dtype=np.float64)
     for t, r in zip(target.scales, recon.scales):
         if t.shape != r.shape:
             raise ValueError(f"scale shapes differ: {t.shape} vs {r.shape}")
-        per_scale.append(_cosine_distance_map(t.array, r.array))
-
-    if combine == "resize-sum":
-        total = np.zeros((out_h, out_w), dtype=np.float64)
-        for m in per_scale:
-            total += bilinear_resize(Tensor(m.astype(np.float32)), out_h, out_w).array
-    elif combine == "sum-resize":
-        dh, dw = per_scale[-1].shape
-        acc = np.zeros((dh, dw), dtype=np.float64)
-        for m in per_scale:
-            acc += bilinear_resize(Tensor(m.astype(np.float32)), dh, dw).array
-        total = bilinear_resize(Tensor(acc.astype(np.float32)), out_h, out_w).array.astype(np.float64)
-    else:
-        raise ValueError(f"unknown combine mode {combine!r}")
+        m = _cosine_distance_map(t.array, r.array)
+        total += bilinear_resize(Tensor(m.astype(np.float32)), out_h, out_w).array
 
     total = np.clip(total, 0.0, None)
     smoothed = _gaussian_smooth(total)
@@ -365,18 +350,18 @@ def pipeline_forward(
     out_h: int | None = None,
     out_w: int | None = None,
     identity_decoder: bool = False,
-    combine: str = "resize-sum",
     workers: int = 1,
 ) -> tuple[float, AnomalyScoreMap]:
     """Fuse, decode (or echo the input when identity_decoder is set, a debug
-    mode in which the loss is exactly zero), and score."""
+    mode in which the loss is exactly zero), and score; ``workers`` has no
+    effect."""
     if identity_decoder:
         recon = p
     else:
         fused = hfpn_fuse(p, params.fuse)
         recon = decoder_forward(fused, cfg, params, workers=workers)
     loss = mse_loss(p, recon)
-    amap = anomaly_map(p, recon, out_h=out_h, out_w=out_w, combine=combine)
+    amap = anomaly_map(p, recon, out_h=out_h, out_w=out_w)
     return loss, amap
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "NonSquareRotation",
     "hilbert_matrix",
     "base_schedule",
-    "apply_direction",
     "make_schedule",
     "invert",
     "gather_sequence",
@@ -235,33 +234,6 @@ def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
     return ScanSchedule(height=h, width=w, order=order)
 
 
-def apply_direction(s: ScanSchedule, d: ScanDirection) -> ScanSchedule:
-    """Reorient a schedule.
-
-    The transpose step swaps the grid axes (and, on non-square grids, the
-    schedule's extents); the rotation step maps (r, c) to (c, h-1-r) and is
-    only defined on square grids; the reverse step flips the visit order.
-    The steps compose in that order.
-    """
-    transpose, rotate, reverse = _DIRECTION_PARTS[d]
-    h, w = s.height, s.width
-    r = s.order // w
-    c = s.order % w
-    if transpose:
-        r, c = c, r
-        h, w = w, h
-    if rotate:
-        if h != w:
-            raise NonSquareRotation(
-                f"rot90 directions need a square grid, got {h}x{w}"
-            )
-        r, c = c, h - 1 - r
-    order = r * w + c
-    if reverse:
-        order = order[::-1]
-    return ScanSchedule(height=h, width=w, order=order)
-
-
 @lru_cache(maxsize=512)
 def _cached_schedule(method: ScanMethod, direction: ScanDirection, h: int, w: int):
     transpose, rotate, reverse = _DIRECTION_PARTS[direction]
@@ -293,9 +265,9 @@ def make_schedule(
     """Directed schedule over an h x w grid; memoised since blocks reuse a
     handful of geometries.
 
-    Unlike ``apply_direction``, the returned schedule always addresses the
-    requested extents: transposing directions traverse the transposed
-    geometry but report visits as cells of the caller's grid.
+    The returned schedule always addresses the requested extents:
+    transposing directions traverse the transposed geometry but report
+    visits as cells of the caller's grid.
     """
     return _cached_schedule(method, direction, h, w)
 

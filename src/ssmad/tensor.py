@@ -32,7 +32,6 @@ __all__ = [
     "Tensor",
     "BinaryMask",
     "Rng",
-    "rng_uniform",
     "MbtError",
     "BadMagic",
     "UnsupportedVersion",
@@ -193,10 +192,6 @@ class Rng:
         for i in range(n):
             out[i] = lo + self.next_float() * (hi - lo)
         return out
-
-
-def rng_uniform(rng: Rng, n: int, lo: float, hi: float) -> np.ndarray:
-    return rng.uniform(n, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,57 @@ def test_hss_worker_bit_identity():
         assert other.array.tobytes() == base.array.tobytes()
 
 
+def _per_direction_hss(g: Tensor, p: HssParams) -> np.ndarray:
+    """Oracle: the block with one bank scan per direction, each scattered
+    back through its visit order and summed in direction order."""
+    x = g.array
+    _, h, w = x.shape
+    u = layer_norm(x, p.ln_pre_scale, p.ln_pre_shift)
+    main = silu(dwconv2d(pointwise_conv(u, p.in_weight, p.in_bias), p.dw_weight, p.dw_bias))
+    main_flat = main.reshape(p.inner_channels, h * w)
+    acc = np.zeros((p.inner_channels, h * w), dtype=np.float64)
+    for k, direction in enumerate(p.directions):
+        sched = make_schedule(p.method, direction, h, w)
+        y = ssm_bank_scan(p.bank.a[k], p.bank.b[k], p.bank.c[k], p.bank.delta[k],
+                          main_flat[:, sched.order])
+        part = np.empty_like(y)
+        part[:, sched.order] = y
+        acc += part
+    scans = acc.astype(np.float32).reshape(p.inner_channels, h, w)
+    normed = layer_norm(scans, p.ln_post_scale, p.ln_post_shift)
+    gate = silu(pointwise_conv(u, p.gate_weight, p.gate_bias))
+    return pointwise_conv(normed * gate, p.out_weight, p.out_bias) + x
+
+
+_NON_ROT = (ScanDirection.FORWARD, ScanDirection.REVERSE,
+            ScanDirection.WH_FORWARD, ScanDirection.WH_REVERSE)
+
+
+@pytest.mark.parametrize(
+    "method, directions, h, w",
+    [(ScanMethod.HILBERT, tuple(ScanDirection)[:k], 8, 8) for k in (1, 2, 4, 8)]
+    + [(ScanMethod.SWEEP, _NON_ROT, 6, 10)],
+)
+def test_hss_stacked_scan_matches_per_direction_oracle(method, directions, h, w):
+    channels, n = 3, 4
+    p = init_hss_params(Rng(21), channels=channels, state_size=n, expansion=2,
+                        method=method, directions=directions)
+    # every (direction, channel) row gets its own a, b, c and delta, so a
+    # bank row paired with the wrong sequence row changes the output
+    rng = np.random.default_rng(22)
+    shape = (len(directions), p.inner_channels, n)
+    bank = SsmBankParams(
+        a=rng.uniform(-2.0, -0.01, shape),
+        b=rng.uniform(-1.0, 1.0, shape),
+        c=rng.uniform(-1.0, 1.0, shape),
+        delta=rng.uniform(0.05, 0.5, shape[:2]),
+    )
+    p = replace(p, bank=bank)
+    x = Tensor(rng.standard_normal((channels, h, w)).astype(np.float32))
+    got = hss_forward(x, p).array
+    assert got.tobytes() == _per_direction_hss(x, p).tobytes()
+
+
 def test_lss_zeroed_branches_reduce_to_fuse():
     cfg = _micro_config(hss_blocks=1)
     params = init_block_params(cfg)

@@ -16,7 +16,7 @@ import pytest
 
 from ssmad import cli
 from ssmad.metrics import aupro
-from ssmad.tensor import read_mask_pgm_file, read_tensor_file
+from ssmad.tensor import Tensor, read_mask_pgm_file, read_tensor_file, write_tensor_file
 
 
 def _run(args, env_extra=None):
@@ -342,6 +342,18 @@ def test_forward_missing_pyramid_file(tmp_path):
     assert "cannot read" in r.stderr
 
 
+def test_forward_rejects_non_finite_pyramid(fixture_dirs, tmp_path):
+    args = _pyramid_args(fixture_dirs / "a0")
+    bad = read_tensor_file(args[1]).array.copy()
+    bad[0, 0, 0] = np.nan
+    args[1] = str(tmp_path / "nan.mbt")
+    write_tensor_file(args[1], Tensor(bad))
+    r = _run(["forward", *args, "--out-map", str(tmp_path / "m.mbt")])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "nan.mbt" in r.stderr and "non-finite" in r.stderr
+
+
 def test_forward_requires_out_map(fixture_dirs):
     r = _run(["forward", *_pyramid_args(fixture_dirs / "a0")])
     assert r.returncode == 2
@@ -473,6 +485,31 @@ def test_eval_rejects_non_binary_label(fixture_dirs, tmp_path):
     r = _run(["eval", "--manifest", str(manifest)])
     assert r.returncode == 2
     assert "image_label" in r.stderr
+
+
+def test_eval_rejects_nan_image_score(fixture_dirs, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    rows = _oracle_rows(fixture_dirs)
+    rows[1]["image_score"] = "nan"
+    _write_manifest(manifest, rows)
+    r = _run(["eval", "--manifest", str(manifest)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "sample 1" in r.stderr and "image_score" in r.stderr
+
+
+def test_eval_rejects_inf_in_score_map(fixture_dirs, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    rows = _oracle_rows(fixture_dirs)
+    bad = read_tensor_file(rows[0]["score_map"]).array.copy()
+    bad.flat[3] = np.inf
+    rows[0]["score_map"] = str(tmp_path / "inf_map.mbt")
+    write_tensor_file(rows[0]["score_map"], Tensor(bad))
+    _write_manifest(manifest, rows)
+    r = _run(["eval", "--manifest", str(manifest)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "inf_map.mbt" in r.stderr and "non-finite" in r.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -261,20 +261,6 @@ def test_anomaly_map_matches_naive_oracle():
     np.testing.assert_allclose(got.scores, want, rtol=1e-5, atol=1e-6)
 
 
-def test_anomaly_map_sum_resize_mode():
-    p = _pyramid(seed=17, size=8)
-    rng = np.random.default_rng(18)
-    q = FeaturePyramid(tuple(
-        Tensor((s.array + 0.2 * rng.standard_normal(s.shape)).astype(np.float32))
-        for s in p.scales
-    ))
-    a = anomaly_map(p, q, out_h=8, out_w=8, combine="sum-resize")
-    assert a.scores.shape == (8, 8)
-    assert np.isfinite(a.scores).all()
-    with pytest.raises(ValueError):
-        anomaly_map(p, q, combine="nonsense")
-
-
 def test_image_score_monotone_under_argmax_bump():
     p = _pyramid(seed=19, size=8)
     rng = np.random.default_rng(20)

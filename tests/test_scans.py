@@ -17,7 +17,6 @@ from ssmad.scans import (
     ScanMethod,
     ScanSchedule,
     UnsupportedGeometry,
-    apply_direction,
     base_schedule,
     gather_sequence,
     hilbert_matrix,
@@ -151,7 +150,7 @@ def test_schedule_validates_permutation():
 
 def test_forward_is_identity():
     base = base_schedule(ScanMethod.SWEEP, 3, 5)
-    out = apply_direction(base, ScanDirection.FORWARD)
+    out = make_schedule(ScanMethod.SWEEP, ScanDirection.FORWARD, 3, 5)
     np.testing.assert_array_equal(out.order, base.order)
 
 
@@ -178,9 +177,8 @@ def test_sweep_reverse_row():
 
 
 def test_rot90_rejects_non_square():
-    base = base_schedule(ScanMethod.SWEEP, 2, 3)
     with pytest.raises(NonSquareRotation):
-        apply_direction(base, ScanDirection.ROT90_FORWARD)
+        make_schedule(ScanMethod.SWEEP, ScanDirection.ROT90_FORWARD, 2, 3)
 
 
 def test_wh_on_non_square_keeps_extents():
@@ -189,13 +187,6 @@ def test_wh_on_non_square_keeps_extents():
     s = make_schedule(ScanMethod.SWEEP, ScanDirection.WH_FORWARD, 2, 3)
     assert (s.height, s.width) == (2, 3)
     assert list(s.order) == [0, 3, 1, 4, 2, 5]
-
-
-def test_apply_direction_transpose_swaps_extents():
-    # the raw coordinate op, by contrast, re-addresses the transposed grid
-    out = apply_direction(base_schedule(ScanMethod.SWEEP, 2, 3), ScanDirection.WH_FORWARD)
-    assert (out.height, out.width) == (3, 2)
-    assert sorted(out.order) == list(range(6))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -218,20 +209,29 @@ def test_reverse_is_elementwise_reversal(method, size):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("size", [2, 4, 8])
 def test_wh_twice_returns_base(method, size):
+    # the wh schedule visits the transposed cells of the base schedule, so
+    # transposing its visits once more gives the base back
     base = base_schedule(method, size, size)
-    once = apply_direction(base, ScanDirection.WH_FORWARD)
-    twice = apply_direction(once, ScanDirection.WH_FORWARD)
-    np.testing.assert_array_equal(twice.order, base.order)
+    once = make_schedule(method, ScanDirection.WH_FORWARD, size, size)
+    transpose = np.arange(size * size).reshape(size, size).T.reshape(-1)
+    np.testing.assert_array_equal(transpose[base.order], once.order)
+    np.testing.assert_array_equal(transpose[once.order], base.order)
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("size", [2, 4, 8])
 def test_rot90_four_times_returns_base(method, size):
+    # the rot90 schedule visits the base cells turned clockwise, (r, c) ->
+    # (c, size-1-r); three more turns of its visits give the base back
     s = base_schedule(method, size, size)
-    out = s
-    for _ in range(4):
-        out = apply_direction(out, ScanDirection.ROT90_FORWARD)
-    np.testing.assert_array_equal(out.order, s.order)
+    once = make_schedule(method, ScanDirection.ROT90_FORWARD, size, size)
+    r, c = np.divmod(np.arange(size * size), size)
+    turn = c * size + (size - 1 - r)
+    np.testing.assert_array_equal(turn[s.order], once.order)
+    out = once.order
+    for _ in range(3):
+        out = turn[out]
+    np.testing.assert_array_equal(out, s.order)
 
 
 def test_non_square_geometry_where_permitted():
