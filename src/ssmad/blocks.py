@@ -144,14 +144,19 @@ class SsmBankParams:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
             if arr.ndim != 3:
                 raise ValueError(f"{name} must have shape (K, C, N)")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"bank {name} has non-finite values")
             object.__setattr__(self, name, arr)
         if not (self.a.shape == self.b.shape == self.c.shape):
             raise ValueError("a, b, c must share a shape")
+        # a >= 0 gives a_bar = exp(delta * a) >= 1: a recurrence that never decays
+        if not (self.a < 0).all():
+            raise ValueError("bank a entries must be negative for a stable scan")
         d = np.ascontiguousarray(self.delta, dtype=np.float32)
         if d.shape != self.a.shape[:2]:
             raise ValueError("delta must have shape (K, C)")
-        if not (d > 0).all():
-            raise ValueError("delta entries must be positive")
+        if not (np.isfinite(d) & (d > 0)).all():
+            raise ValueError("delta entries must be finite and positive")
         object.__setattr__(self, "delta", d)
 
     @property

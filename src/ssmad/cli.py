@@ -336,6 +336,8 @@ def _config_from_json(path: str | None) -> DecoderConfig:
 
 
 def cmd_forward(args) -> int:
+    if args.map_size is not None and args.map_size < 1:
+        raise CliError(f"--map-size must be >= 1, got {args.map_size}")
     pyramid = _load_pyramid(args.pyramid)
     cfg = _config_from_json(args.config)
     workers = resolve_workers(args.workers)

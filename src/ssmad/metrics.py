@@ -13,7 +13,9 @@ across a threshold together.
   aupro              per-region overlap averaged over all 8-connected
                      ground-truth regions, swept against the pooled
                      false-positive rate, trapezoid-integrated up to
-                     fpr_limit and normalised by it
+                     fpr_limit and normalised by it; the overlap sum is
+                     exact hit counts grouped by region size, so a
+                     perfect detector scores exactly 1
   mad                mean of the seven protocol values
 
 Image-level metrics take one score per image; pixel-level metrics pool
@@ -165,18 +167,23 @@ class MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# threshold sweeps (shared machinery)
+# threshold sweeps: every pixel metric reads its values off one descending
+# sort, at the last index of each tie group
+
+
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending stable sort order and the last sorted index of each tie group."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    boundary = np.nonzero(np.diff(sorted_scores))[0]
+    ends = np.concatenate([boundary, [sorted_scores.size - 1]])
+    return order, ends
 
 
 def _tie_grouped_counts(ls: LabeledScores):
     """Cumulative TP/FP after each descending unique-score group."""
-    order = np.argsort(-ls.scores, kind="stable")
-    sorted_scores = ls.scores[order]
-    sorted_labels = ls.labels[order]
-    # last index of each tie group
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.concatenate([boundary, [sorted_scores.size - 1]])
-    tp = np.cumsum(sorted_labels)[ends].astype(np.float64)
+    order, ends = _tie_groups(ls.scores)
+    tp = np.cumsum(ls.labels[order])[ends].astype(np.float64)
     fp = (ends + 1) - tp
     return tp, fp
 
@@ -260,76 +267,51 @@ def aupro(
     The threshold sweep is pooled over every pixel of every map and walks
     unique scores in descending order; the curve starts at (0, 0) and the
     trapezoid integral stops at fpr_limit (interpolating the final segment).
+    The overlap summed over regions is, per distinct region size s, the exact
+    hit count in size-s regions divided by s: it never exceeds the region
+    count, and a full sweep reaches it exactly.
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricPreconditionError("fpr_limit must lie in (0, 1]")
     if len(maps) != len(masks) or not maps:
         raise MetricPreconditionError("need equally many maps and masks")
 
-    region_ids = []     # per pixel: region index or -1
+    pixel_sizes = []    # per pixel: size of its region, 0 for a normal pixel
     region_sizes = []
     scores = []
-    negatives = 0
     for t, m in zip(maps, masks):
         if t.ndim != 2 or t.shape != (m.height, m.width):
             raise ValueError(f"map shape {t.shape} != mask {m.height}x{m.width}")
-        rs = connected_components(m)
-        ids = np.full(m.height * m.width, -1, dtype=np.int64)
-        for region in rs.regions:
-            ids[region] = len(region_sizes)
+        sizes = np.zeros(m.height * m.width, dtype=np.int64)
+        for region in connected_components(m).regions:
+            sizes[region] = region.size
             region_sizes.append(region.size)
-        region_ids.append(ids)
+        pixel_sizes.append(sizes)
         scores.append(t.array.reshape(-1).astype(np.float64))
-        negatives += int((m.bits == 0).sum())
 
+    all_sizes = np.concatenate(pixel_sizes)
+    negatives = int((all_sizes == 0).sum())
     if not region_sizes:
         raise MetricPreconditionError("aupro needs at least one anomalous region")
     if negatives == 0:
         raise MetricPreconditionError("aupro needs at least one normal pixel")
 
-    all_scores = np.concatenate(scores)
-    all_ids = np.concatenate(region_ids)
-    sizes = np.array(region_sizes, dtype=np.float64)
-    n_regions = sizes.size
+    order, ends = _tie_groups(np.concatenate(scores))
+    sorted_sizes = all_sizes[order]
+    overlap = np.zeros(ends.size)
+    for s in np.unique(region_sizes):
+        overlap += np.cumsum(sorted_sizes == s)[ends] / s
+    fpr = np.concatenate([[0.0], np.cumsum(sorted_sizes == 0)[ends] / negatives])
+    pro = np.concatenate([[0.0], overlap / len(region_sizes)])
 
-    order = np.argsort(-all_scores, kind="stable")
-    sorted_scores = all_scores[order]
-    sorted_ids = all_ids[order]
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.concatenate([boundary, [sorted_scores.size - 1]])
-
-    # cumulative per-region hits and false positives at each unique threshold
-    hit_running = np.zeros(n_regions, dtype=np.float64)
-    pro_points = [0.0]
-    fpr_points = [0.0]
-    fp_running = 0
-    start = 0
-    for end in ends:
-        seg = sorted_ids[start : end + 1]
-        inside = seg[seg >= 0]
-        if inside.size:
-            np.add.at(hit_running, inside, 1.0)
-        fp_running += int((seg < 0).sum())
-        pro_points.append(float(np.mean(hit_running / sizes)))
-        fpr_points.append(fp_running / negatives)
-        start = end + 1
-
-    area = 0.0
-    for i in range(1, len(fpr_points)):
-        f0, f1 = fpr_points[i - 1], fpr_points[i]
-        p0, p1 = pro_points[i - 1], pro_points[i]
-        if f1 <= fpr_limit:
-            area += (f1 - f0) * (p0 + p1) / 2.0
-            if f1 == fpr_limit:
-                break
-        else:
-            if f0 >= fpr_limit:
-                break
-            frac = (fpr_limit - f0) / (f1 - f0)
-            p_lim = p0 + frac * (p1 - p0)
-            area += (fpr_limit - f0) * (p0 + p_lim) / 2.0
-            break
-    return area / fpr_limit
+    # points at or below fpr_limit, then the crossing of the next segment
+    inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
+    x, y = fpr[:inside], pro[:inside]
+    if inside < fpr.size:
+        seg = slice(inside - 1, inside + 1)
+        x = np.append(x, fpr_limit)
+        y = np.append(y, np.interp(fpr_limit, fpr[seg], pro[seg]))
+    return float(_trapezoid(y, x)) / fpr_limit
 
 
 # ---------------------------------------------------------------------------

@@ -440,8 +440,9 @@ def save_decoder_params(directory, params: DecoderParams) -> None:
 def load_decoder_params(
     directory, cfg: DecoderConfig, pyramid_channels: tuple[int, int, int]
 ) -> DecoderParams:
-    """Rebuild DecoderParams from a saved directory; shapes are validated by
-    the dataclass constructors against cfg and the pyramid."""
+    """Rebuild DecoderParams from a saved directory; every tensor must be
+    finite, and shapes (and bank stability) are validated by the dataclass
+    constructors against cfg and the pyramid."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format") != "mbt-dir/1":
@@ -452,6 +453,8 @@ def load_decoder_params(
         t = read_tensor_file(os.path.join(directory, entry["file"]))
         if list(t.shape) != list(entry["shape"]):
             raise ValueError(f"shape mismatch for {name}")
+        if not np.isfinite(t.array).all():
+            raise ValueError(f"{name} has non-finite values")
         loaded[name] = t.array
 
     def conv(prefix: str) -> ConvBParams:
@@ -463,12 +466,15 @@ def load_decoder_params(
         )
 
     def hss(prefix: str, channels: int) -> HssParams:
-        bank = SsmBankParams(
-            a=loaded[f"{prefix}.bank.a"].astype(np.float64),
-            b=loaded[f"{prefix}.bank.b"].astype(np.float64),
-            c=loaded[f"{prefix}.bank.c"].astype(np.float64),
-            delta=loaded[f"{prefix}.bank.delta"].astype(np.float64),
-        )
+        try:
+            bank = SsmBankParams(
+                a=loaded[f"{prefix}.bank.a"].astype(np.float64),
+                b=loaded[f"{prefix}.bank.b"].astype(np.float64),
+                c=loaded[f"{prefix}.bank.c"].astype(np.float64),
+                delta=loaded[f"{prefix}.bank.delta"].astype(np.float64),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{prefix}.bank: {exc}") from None
         return HssParams(
             channels=channels,
             expansion=cfg.expansion,

@@ -215,6 +215,34 @@ def test_conv_block_rejects_even_kernel():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("a", 0.0),
+        ("a", 0.5),
+        ("a", np.nan),
+        ("a", -np.inf),
+        ("b", np.nan),
+        ("c", np.inf),
+        ("delta", np.nan),
+        ("delta", np.inf),
+    ],
+)
+def test_bank_params_reject_unstable_or_non_finite(field, value):
+    good = dict(
+        a=np.full((2, 3, 2), -0.5),
+        b=np.ones((2, 3, 2)),
+        c=np.ones((2, 3, 2)),
+        delta=np.full((2, 3), 0.1),
+    )
+    SsmBankParams(**good)
+    bad = dict(good)
+    bad[field] = good[field].copy()
+    bad[field].flat[-1] = value
+    with pytest.raises(ValueError):
+        SsmBankParams(**bad)
+
+
 # -------------------------------------------------- scan path consistency
 
 

@@ -326,6 +326,24 @@ def test_forward_save_then_load_params(fixture_dirs, micro_config, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("value", [np.nan, 0.5])
+def test_forward_rejects_bad_bank_params(fixture_dirs, micro_config, tmp_path, value):
+    # one NaN, or one non-decaying entry (a >= 0), in a saved bank tensor
+    params_dir = tmp_path / "params"
+    base = ["forward", *_pyramid_args(fixture_dirs / "a1"), "--config", str(micro_config)]
+    r = _run([*base, "--save-params", str(params_dir), "--out-map", str(tmp_path / "a.mbt")])
+    assert r.returncode == 0, r.stderr
+    bank_file = params_dir / "stage0.lss0.hss0.bank.a.mbt"
+    a = read_tensor_file(bank_file).array.copy()
+    a.flat[0] = value
+    write_tensor_file(bank_file, Tensor(a))
+    r = _run([*base, "--params", str(params_dir), "--out-map", str(tmp_path / "b.mbt")])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert "stage0.lss0.hss0.bank" in r.stderr
+
+
 def test_forward_missing_pyramid_file(tmp_path):
     r = _run(
         [
@@ -375,6 +393,19 @@ def test_forward_map_size_override(fixture_dirs, micro_config, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert read_tensor_file(out_map).shape == (32, 32)
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_forward_rejects_map_size_below_one(fixture_dirs, tmp_path, size):
+    out_map = tmp_path / "m.mbt"
+    r = _run(
+        ["forward", *_pyramid_args(fixture_dirs / "a0"), "--map-size", size,
+         "--out-map", str(out_map)]
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "--map-size" in r.stderr
+    assert not out_map.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmad.metrics import (
@@ -291,12 +291,34 @@ def test_components_match_flood_fill(seed):
 # ------------------------------------------------------------------ aupro
 
 
-def test_aupro_perfect_detector():
-    mask = np.zeros((4, 4), np.uint8)
-    mask[1:3, 1:3] = 1
-    score = mask.astype(np.float32)
-    got = aupro([Tensor(score)], [BinaryMask(mask)], DEFAULT_FPR_LIMIT)
-    assert got == 1.0
+# each layout: one (height, width, anomalous cells) triple per map
+_PERFECT_LAYOUTS = {
+    "one-square": [(4, 4, [(1, 1), (1, 2), (2, 1), (2, 2)])],
+    "three-sizes": [
+        (5, 5, [(0, 0), (2, 2), (2, 3), (3, 3)]),
+        (4, 6, [(0, 4), (0, 5), (1, 4), (1, 5), (3, 0)]),
+    ],
+    "with-normal-map": [
+        (6, 6, [(0, 0), (5, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]),
+        (3, 3, []),
+        (7, 5, [(0, 0), (0, 1), (4, 4), (6, 0), (6, 1), (6, 2)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_PERFECT_LAYOUTS))
+def test_aupro_perfect_detector(layout):
+    maps, masks = [], []
+    for h, w, cells in _PERFECT_LAYOUTS[layout]:
+        mask = np.zeros((h, w), np.uint8)
+        for r, c in cells:
+            mask[r, c] = 1
+        maps.append(Tensor(mask.astype(np.float32)))
+        masks.append(BinaryMask(mask))
+    assert aupro(maps, masks, DEFAULT_FPR_LIMIT) == 1.0
+    # the image scores only have to let evaluate reach the pixel metrics
+    report = evaluate(LabeledScores([1.0, 0.0], [1, 0]), maps, masks)
+    assert report.mad() == 1.0
 
 
 def test_aupro_anti_correlated():
@@ -354,6 +376,46 @@ def test_aupro_matches_exhaustive_oracle(seed):
     got = aupro(maps, masks, limit)
     want = _exhaustive_aupro(raw_maps, raw_masks, limit)
     assert abs(got - want) <= 1e-9
+
+
+@st.composite
+def _aupro_case(draw):
+    """Maps with few score levels (heavy ties) and sparse masks (single-pixel
+    and larger regions), plus an fpr_limit of 1, a point on the curve, or
+    any value in (0, 1]."""
+    levels = draw(st.sampled_from([1, 2, 3, 5, 50]))
+    maps, masks = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        cells = st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w)
+        maps.append((np.array(draw(cells)).reshape(h, w) / levels).astype(np.float32))
+        hits = st.lists(st.booleans(), min_size=h * w, max_size=h * w)
+        masks.append(np.array(draw(hits), np.uint8).reshape(h, w))
+    assume(sum(m.size for m in masks) >= 2)
+    masks[0].flat[0] = 1     # at least one region
+    masks[-1].flat[-1] = 0   # at least one normal pixel
+
+    kind = draw(st.sampled_from(["one", "curve-point", "any"]))
+    if kind == "one":
+        limit = 1.0
+    elif kind == "curve-point":
+        pooled = np.concatenate([t.reshape(-1) for t in maps])
+        normal = np.concatenate([m.reshape(-1) == 0 for m in masks])
+        points = {int((normal & (pooled >= t)).sum()) / int(normal.sum()) for t in pooled}
+        limit = draw(st.sampled_from(sorted(p for p in points if p > 0)))
+    else:
+        limit = draw(st.floats(1e-3, 1.0))
+    return maps, masks, limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_aupro_case())
+def test_aupro_property_matches_exhaustive_oracle(case):
+    maps, masks, limit = case
+    got = aupro([Tensor(t) for t in maps], [BinaryMask(m) for m in masks], limit)
+    want = _exhaustive_aupro([t.astype(np.float64) for t in maps], masks, limit)
+    assert abs(got - want) <= 1e-9
+    assert 0.0 <= got <= 1.0
 
 
 def test_aupro_order_invariant():
