@@ -32,7 +32,6 @@ def main():
     ap.add_argument("--channels", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--scores", choices=("decoder", "oracle"), default="decoder")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
@@ -54,9 +53,7 @@ def main():
         pyramid, mask, oracle = synth.make_fixture(
             kind, args.size, args.channels, seed=args.seed * 1000 + i
         )
-        loss, amap = pipeline_forward(
-            pyramid, cfg, params, workers=args.workers
-        )
+        loss, amap = pipeline_forward(pyramid, cfg, params)
         if args.scores == "oracle":
             score_map = oracle
             image_score = float(oracle.array.max())

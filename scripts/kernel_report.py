@@ -7,11 +7,9 @@ Two sections:
    convolutional / chunked-parallel / selective forms and the decoder's
    chunked bank scan on random instances, plus the finite-difference
    gradient check.
-2. timing: median ns per element for the recurrent and parallel scans over
-   a ladder of sequence lengths and worker counts, with a column confirming
-   that every worker count produced byte-identical output; then median ns
-   per state update (channels x length x state size) of the bank scan over
-   the same ladder.
+2. timing: median ns per element for the recurrent and chunked-parallel
+   scans over a ladder of sequence lengths; then median ns per state update
+   (channels x length x state size) of the bank scan over the same ladder.
 
     python3 scripts/kernel_report.py
     python3 scripts/kernel_report.py --instances 200 --lengths 1024,65536
@@ -23,7 +21,6 @@ import time
 
 import numpy as np
 
-from ssmad.blocks import ssm_bank_scan
 from ssmad.ssm import (
     SsmDiscrete,
     SelectiveInputs,
@@ -35,6 +32,7 @@ from ssmad.ssm import (
     scan_parallel,
     scan_recurrent,
     selective_scan,
+    ssm_bank_scan,
     zoh,
 )
 from ssmad.tensor import Rng
@@ -67,7 +65,7 @@ def agreement_section(instances, max_len, seed):
         y = scan_convolutional(build_conv_kernel(d, length), x).array
         worst["convolution"] = max(worst["convolution"], rel(y, y_ref))
 
-        y = scan_parallel(d, x, workers=4).array
+        y = scan_parallel(d, x).array
         worst["parallel"] = max(worst["parallel"], rel(y, y_ref))
 
         s = SelectiveInputs(
@@ -113,28 +111,17 @@ def median_ns(fn, size, repeats):
     return statistics.median(times) / size
 
 
-def timing_section(lengths, workers_list, repeats, seed):
+def timing_section(lengths, repeats, seed):
     rng = Rng(seed)
     n = 8
     d = discretize(rand_params(rng, n))
     print("median ns/element (sequence scan, state size 8):")
-    header = "  length    recurrent" + "".join(
-        f"  par w={w}" for w in workers_list
-    ) + "  identical"
-    print(header)
+    print("  length    recurrent  parallel")
     for length in lengths:
         x = rng.uniform(length, -1.0, 1.0)
-        row = [f"  {length:<8d}"]
-        row.append(f"{median_ns(lambda: scan_recurrent(d, x), length, repeats):9.1f}")
-        outs = []
-        for w in workers_list:
-            row.append(
-                f"{median_ns(lambda: scan_parallel(d, x, workers=w), length, repeats):8.1f}"
-            )
-            outs.append(scan_parallel(d, x, workers=w).array.tobytes())
-        same = all(o == outs[0] for o in outs)
-        row.append("      yes" if same else "       NO")
-        print("".join(row))
+        rec = median_ns(lambda: scan_recurrent(d, x), length, repeats)
+        par = median_ns(lambda: scan_parallel(d, x), length, repeats)
+        print(f"  {length:<8d}{rec:9.1f}{par:10.1f}")
 
     channels = 16
     a = rng.uniform(channels * n, -2.0, -0.01).reshape(channels, n)
@@ -155,7 +142,6 @@ def main():
     ap.add_argument("--instances", type=int, default=100)
     ap.add_argument("--max-len", type=int, default=256)
     ap.add_argument("--lengths", default="1024,8192,65536")
-    ap.add_argument("--workers", default="1,2,4,8")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
@@ -163,7 +149,6 @@ def main():
     agreement_section(args.instances, args.max_len, args.seed)
     timing_section(
         [int(v) for v in args.lengths.split(",") if v],
-        [int(v) for v in args.workers.split(",") if v],
         args.repeats,
         args.seed,
     )

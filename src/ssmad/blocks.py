@@ -24,12 +24,8 @@ in the fixed direction order.  No threads are used, so every output byte
 depends only on the parameters and the input.
 
 A bank's discretised a_bar, b_bar and c do not change along the sequence,
-so ``ssm_bank_scan`` evaluates it in the blocked form of Mamba-2's
-state-space dual: a lower-triangular Toeplitz matmul inside each chunk of
-SCAN_CHUNK steps, plus a fixed-tree prefix scan that carries the state
-across chunk boundaries.  The chunk length is a constant rather than a
-function of the input or the machine, so the float64 arithmetic, and hence
-every output byte, depends only on the parameters and the sequence.
+so ``ssm_bank_scan`` (in ``ssm``) evaluates it in the chunked form of
+Mamba-2's state-space dual; see the ``ssm`` module docstring.
 
 The locality-enhanced module (``lss_forward``) is a cascade of M hybrid-scan
 blocks in parallel with two local branches
@@ -43,16 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .scans import ScanDirection, ScanMethod, make_schedule
-from .ssm import _affine_scan, zoh
+from .ssm import ssm_bank_scan
 from .tensor import Rng, Tensor
 
 __all__ = [
     "LN_EPS",
     "IN_EPS",
-    "SCAN_CHUNK",
     "ALLOWED_DIRECTION_COUNTS",
     "ConvBParams",
     "SsmBankParams",
@@ -67,7 +61,6 @@ __all__ = [
     "dwconv2d",
     "pointwise_conv",
     "conv_block",
-    "ssm_bank_scan",
     "hss_forward",
     "lss_forward",
     "init_conv_block",
@@ -78,10 +71,6 @@ __all__ = [
 
 LN_EPS = 1e-5
 IN_EPS = 1e-5
-
-# steps per chunk of the bank scan: the Toeplitz block is SCAN_CHUNK^2 per
-# channel, the carry scan runs over L / SCAN_CHUNK chunks
-SCAN_CHUNK = 16
 
 # single-direction configs are allowed for ablation; multi-direction sets
 # come in the symmetric sizes
@@ -372,60 +361,6 @@ def conv_block(x: np.ndarray, p: ConvBParams) -> np.ndarray:
             f"conv block expects {p.in_channels} input channels, got {x.shape[0]}"
         )
     return silu(instance_norm(conv2d(x, p.weight, p.bias), p.norm_scale, p.norm_shift))
-
-
-# ---------------------------------------------------------------------------
-# scan bank
-
-
-def ssm_bank_scan(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, delta: np.ndarray, seq: np.ndarray
-) -> np.ndarray:
-    """Run C independent single-channel scans over a (C, L) sequence.
-
-    a, b, c: (C, N); delta: (C,).  Returns y (C, L) in float64, where
-    h_t = a_bar * h_{t-1} + b_bar * x_t and y_t = <c, h_t> per channel.
-
-    The sequence is zero-padded to J chunks of T = SCAN_CHUNK steps (the
-    scan is causal, so the padding cannot reach earlier outputs) and
-    evaluated with powers a_bar^k = exp(k * delta * a), k = 0 .. T:
-
-      within a chunk   Y = X M^T, M[c] lower-triangular Toeplitz with
-                       M[c, i, j] = K[c, i - j], K[c, k] = <c, b_bar a_bar^k>
-      chunk ends       S = X W, W[c, t, n] = b_bar a_bar^(T-1-t)
-      carried state    H = fixed-tree prefix scan of h -> a_bar^T h + S over
-                       the J chunks; chunk j adds H[j-1] Q with
-                       Q[c, n, i] = c a_bar^(i+1)
-    """
-    chunk = SCAN_CHUNK
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    c64 = np.asarray(c, dtype=np.float64)
-    d64 = np.asarray(delta, dtype=np.float64)
-    _, b_bar = zoh(a64, d64[:, None], b64)                       # (C, N)
-    z = d64[:, None] * a64
-    powers = np.exp(np.arange(chunk + 1.0)[None, :, None] * z[:, None, :])  # (C, T+1, N)
-
-    channels, length = seq.shape
-    n_chunks = -(-length // chunk)
-    x = np.zeros((channels, n_chunks * chunk), dtype=np.float64)
-    x[:, :length] = seq
-    x = x.reshape(channels, n_chunks, chunk)                     # (C, J, T)
-
-    # window i over [0]*(T-1) + K holds K[i-T+1 .. i]; reversed, it is row i
-    # of M
-    kernel = np.einsum("cn,ckn->ck", c64 * b_bar, powers[:, :chunk])
-    padded = np.concatenate([np.zeros((channels, chunk - 1)), kernel], axis=1)
-    toeplitz = sliding_window_view(padded, chunk, axis=1)[:, :, ::-1]  # (C, T, T)
-    y = x @ toeplitz.transpose(0, 2, 1)                          # (C, J, T)
-
-    ends = x @ (b_bar[:, None, :] * powers[:, chunk - 1::-1])     # (C, J, N)
-    step = np.broadcast_to(powers[:, chunk], (n_chunks,) + z.shape)
-    states = _affine_scan(step, np.moveaxis(ends, 1, 0))         # (J, C, N)
-    carried = np.zeros_like(ends)
-    carried[:, 1:] = np.moveaxis(states[:-1], 0, 1)
-    y += carried @ (c64[:, :, None] * powers[:, 1:].transpose(0, 2, 1))
-    return y.reshape(channels, n_chunks * chunk)[:, :length]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ Subcommands:
   synth        deterministic synthetic fixture directory
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
-3 metric precondition failure.  Worker counts default to the
-MAMBAAD_WORKERS environment variable, then 1.
+3 metric precondition failure.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import time
 import numpy as np
 
 from . import synth
-from .blocks import ssm_bank_scan
 from .metrics import (
     DEFAULT_FPR_LIMIT,
     LabeledScores,
@@ -62,6 +60,7 @@ from .ssm import (
     build_conv_kernel,
     SelectiveInputs,
     SsmParams,
+    ssm_bank_scan,
     zoh,
 )
 from .tensor import (
@@ -79,28 +78,16 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-WORKERS_ENV = "MAMBAAD_WORKERS"
-
 
 class CliError(Exception):
     """Usage or I/O problem; maps to exit code 2."""
 
 
-def resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise CliError("--workers must be >= 1")
-        return requested
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise CliError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+def _require_positive(**options: int) -> None:
+    """Reject any count option below 1, naming it as the command line does."""
+    for name, value in options.items():
         if value < 1:
-            raise CliError(f"{WORKERS_ENV} must be >= 1")
-        return value
-    return 1
+            raise CliError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -148,6 +135,11 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def cmd_ssm_check(args) -> int:
+    _require_positive(
+        max_len=args.max_len,
+        instances=args.instances,
+        grad_instances=args.grad_instances,
+    )
     rng = Rng(args.seed)
     max_len = args.max_len
     report: dict = {"seed": args.seed, "max_len": max_len}
@@ -180,25 +172,20 @@ def cmd_ssm_check(args) -> int:
     }
     ok = ok and lti_pass
 
-    # parallel vs sequential, plus worker-count bit identity
+    # chunked parallel scan vs sequential
     worst = 0.0
-    identical = True
     for _ in range(args.instances):
         n = 1 + int(rng.uniform(1, 0, 8)[0])
         length = 1 + int(rng.uniform(1, 0, max_len)[0])
         d = discretize(rand_lti(n))
         x = rng.uniform(length, -1.0, 1.0)
         y_rec = scan_recurrent(d, x).array
-        y_par = scan_parallel(d, x, workers=1).array
+        y_par = scan_parallel(d, x).array
         worst = max(worst, _rel_error(y_par, y_rec))
-        for w in (2, 8):
-            if not np.array_equal(y_par, scan_parallel(d, x, workers=w).array):
-                identical = False
-    par_pass = worst <= 1e-6 and identical
+    par_pass = worst <= 1e-6
     report["parallel_vs_recurrent"] = {
         "instances": args.instances,
         "worst_rel_error": worst,
-        "workers_bit_identical": identical,
         "tolerance": 1e-6,
         "pass": par_pass,
     }
@@ -298,6 +285,24 @@ def _load_pyramid(paths) -> FeaturePyramid:
         raise CliError(str(exc)) from None
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+# config JSON key -> converter to the DecoderConfig field of the same name
+_CONFIG_FIELDS = {
+    "stage_depths": _ints,
+    "hss_per_stage": _ints,
+    "stage_channels": lambda v: None if v is None else _ints(v),
+    "scan_method": ScanMethod,
+    "directions": lambda v: tuple(ScanDirection(d) for d in v),
+    "state_size": int,
+    "expansion": int,
+    "local_kernels": _ints,
+    "seed": int,
+}
+
+
 def _config_from_json(path: str | None) -> DecoderConfig:
     if path is None:
         return DecoderConfig()
@@ -308,39 +313,22 @@ def _config_from_json(path: str | None) -> DecoderConfig:
         raise CliError(f"cannot read config file {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: {exc}") from None
-    kwargs = {}
+    if not isinstance(raw, dict):
+        raise CliError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise CliError(f"{path}: unknown config keys {unknown}")
     try:
-        if "stage_depths" in raw:
-            kwargs["stage_depths"] = tuple(int(v) for v in raw["stage_depths"])
-        if "hss_per_stage" in raw:
-            kwargs["hss_per_stage"] = tuple(int(v) for v in raw["hss_per_stage"])
-        if "stage_channels" in raw and raw["stage_channels"] is not None:
-            kwargs["stage_channels"] = tuple(int(v) for v in raw["stage_channels"])
-        if "scan_method" in raw:
-            kwargs["scan_method"] = ScanMethod(raw["scan_method"])
-        if "directions" in raw:
-            kwargs["directions"] = tuple(
-                ScanDirection(v) for v in raw["directions"]
-            )
-        if "state_size" in raw:
-            kwargs["state_size"] = int(raw["state_size"])
-        if "expansion" in raw:
-            kwargs["expansion"] = int(raw["expansion"])
-        if "local_kernels" in raw:
-            kwargs["local_kernels"] = tuple(int(v) for v in raw["local_kernels"])
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        return DecoderConfig(**kwargs)
+        return DecoderConfig(**{k: _CONFIG_FIELDS[k](v) for k, v in raw.items()})
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad config: {exc}") from None
 
 
 def cmd_forward(args) -> int:
-    if args.map_size is not None and args.map_size < 1:
-        raise CliError(f"--map-size must be >= 1, got {args.map_size}")
+    if args.map_size is not None:
+        _require_positive(map_size=args.map_size)
     pyramid = _load_pyramid(args.pyramid)
     cfg = _config_from_json(args.config)
-    workers = resolve_workers(args.workers)
     channels = pyramid.channels
     try:
         if args.params:
@@ -359,7 +347,6 @@ def cmd_forward(args) -> int:
             out_h=args.map_size,
             out_w=args.map_size,
             identity_decoder=args.identity_decoder,
-            workers=workers,
         )
     except UnsupportedGeometry as exc:
         raise CliError(str(exc)) from None
@@ -489,10 +476,13 @@ def _median_ns_per_elem(fn, size: int, repeats: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",") if v]
-    if not sizes or any(s < 1 for s in sizes):
-        raise CliError("--sizes must be positive integers")
-    workers = resolve_workers(args.workers)
+    try:
+        sizes = [int(v) for v in args.sizes.split(",") if v]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise CliError(f"--sizes must be positive integers, got {args.sizes!r}")
+    _require_positive(repeats=args.repeats)
     rng = Rng(args.seed)
     rows = ["kernel,size,median_ns_per_elem"]
 
@@ -510,7 +500,7 @@ def cmd_bench(args) -> int:
             sel = random_selective_inputs(size, 4, Rng(args.seed + size))
             for name, fn in (
                 ("recurrent", lambda: scan_recurrent(d, x)),
-                ("parallel", lambda: scan_parallel(d, x, workers=workers)),
+                ("parallel", lambda: scan_parallel(d, x)),
                 ("selective", lambda: selective_scan(sel)),
             ):
                 rows.append(
@@ -594,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", default=None)
     p.add_argument("--map-size", type=int, default=None)
     p.add_argument("--identity-decoder", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("eval", help="compute the seven-metric report")
@@ -610,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="1024,16384,262144")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)
 

@@ -126,6 +126,8 @@ class DecoderConfig:
             raise ValueError("hss_per_stage must be four positive counts")
         if self.stage_channels is not None and len(self.stage_channels) != 4:
             raise ValueError("stage_channels must list four counts when given")
+        if self.state_size < 1 or self.expansion < 1:
+            raise ValueError("state_size and expansion must be >= 1")
 
     def resolved_channels(self, pyramid_channels: tuple[int, int, int]) -> tuple[int, ...]:
         c1, c2, c3 = pyramid_channels
@@ -324,11 +326,14 @@ def anomaly_map(
 ) -> AnomalyScoreMap:
     """Sum of per-scale cosine-distance maps at a common resolution: each
     per-scale map is resized to the output resolution, then the maps are
-    summed."""
-    if out_h is None or out_w is None:
-        th, tw = target.top_resolution
-        out_h = out_h or th
-        out_w = out_w or tw
+    summed.  The output extents default to the top scale's and must be
+    >= 1."""
+    th, tw = target.top_resolution
+    out_h = th if out_h is None else out_h
+    out_w = tw if out_w is None else out_w
+    for name, extent in (("out_h", out_h), ("out_w", out_w)):
+        if extent < 1:
+            raise ValueError(f"{name} must be >= 1, got {extent}")
     total = np.zeros((out_h, out_w), dtype=np.float64)
     for t, r in zip(target.scales, recon.scales):
         if t.shape != r.shape:

@@ -12,9 +12,15 @@ whenever |z| < 1e-4 (this also covers a = 0 exactly).
 Three equivalent evaluations of the resulting linear recurrence
     h_t = a_bar * h_{t-1} + b_bar * x_t,   y_t = <c, h_t>
 are provided: a sequential scan, a truncated-convolution form with kernel
-K[k] = <c, a_bar^k * b_bar>, and a work-efficient parallel prefix scan over
-the affine maps h -> a h + b using a fixed balanced reduction tree (so the
-result does not depend on the worker count).
+K[k] = <c, a_bar^k * b_bar>, and the chunked form of Mamba-2's state-space
+dual (Dao & Gu 2024).  The chunked form is one private core shared by
+``scan_parallel`` (one system) and ``ssm_bank_scan`` (a bank of C
+independent single-channel systems, the decoder's scan): a lower-triangular
+Toeplitz matmul inside each chunk of SCAN_CHUNK steps, plus a prefix scan
+over a fixed balanced tree that carries the state across chunk boundaries.
+The chunk length is a constant rather than a function of the input or the
+machine, and no threads are used, so every output byte depends only on the
+parameters and the sequence.
 
 ``selective_scan`` generalises the recurrence to per-step delta_t, b_t, c_t
 (input-dependent parameters); ``selective_scan_backward`` is its analytic
@@ -24,10 +30,10 @@ by ``gradcheck``.  All accumulation happens in float64.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Rng, Tensor
 
@@ -37,11 +43,13 @@ __all__ = [
     "SelectiveInputs",
     "ScanGradients",
     "SERIES_THRESHOLD",
+    "SCAN_CHUNK",
     "discretize",
     "scan_recurrent",
     "build_conv_kernel",
     "scan_convolutional",
     "scan_parallel",
+    "ssm_bank_scan",
     "selective_scan",
     "selective_scan_backward",
     "gradcheck",
@@ -49,6 +57,10 @@ __all__ = [
 ]
 
 SERIES_THRESHOLD = 1e-4
+
+# steps per chunk of the chunked scan: the Toeplitz block is SCAN_CHUNK^2 per
+# channel, the carry scan runs over L / SCAN_CHUNK chunks
+SCAN_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -235,7 +247,7 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Blelloch up/down sweep on a balanced binary tree padded to a power of
     two with identity elements (a=1, b=0); the tree shape depends only on
-    the sequence length, never on worker counts.
+    the sequence length.
     """
     length = a.shape[0]
     n = 1 << max(length - 1, 0).bit_length() if length > 1 else 1
@@ -265,27 +277,74 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc_b[:length]
 
 
-def scan_parallel(d: SsmDiscrete, x, workers: int = 1) -> Tensor:
-    """Prefix-scan evaluation of the recurrence; bit-identical to itself for
-    any worker count because workers split the (independent) state axis."""
-    seq = _as_sequence(x)
-    length, n = seq.size, d.state_size
-    a = np.broadcast_to(d.a_bar, (length, n)).copy()
-    b = d.b_bar[None, :] * seq[:, None]
+def _chunked_scan(
+    powers: np.ndarray, b_bar: np.ndarray, c: np.ndarray, seq: np.ndarray
+) -> np.ndarray:
+    """C independent scans h_t = a_bar h_{t-1} + b_bar x_t, y_t = <c, h_t>.
 
-    if workers <= 1 or n == 1:
-        h = _affine_scan(a, b)
-    else:
-        chunks = np.array_split(np.arange(n), min(workers, n))
-        h = np.empty((length, n), dtype=np.float64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda idx: _affine_scan(a[:, idx], b[:, idx]), chunks
-            )
-            for idx, part in zip(chunks, parts):
-                h[:, idx] = part
-    y = h @ d.c
+    powers: (C, T+1, N) with powers[:, k] = a_bar^k, T = SCAN_CHUNK;
+    b_bar, c: (C, N); seq: (C, L).  Returns y (C, L) in float64.
+
+    The sequence is zero-padded to J chunks of T steps (the scan is causal,
+    so the padding cannot reach earlier outputs) and evaluated as
+
+      within a chunk   Y = X M^T, M[c] lower-triangular Toeplitz with
+                       M[c, i, j] = K[c, i - j], K[c, k] = <c, b_bar a_bar^k>
+      chunk ends       S = X W, W[c, t, n] = b_bar a_bar^(T-1-t)
+      carried state    H = fixed-tree prefix scan of h -> a_bar^T h + S over
+                       the J chunks; chunk j adds H[j-1] Q with
+                       Q[c, n, i] = c a_bar^(i+1)
+    """
+    chunk = SCAN_CHUNK
+    channels, length = seq.shape
+    n_chunks = -(-length // chunk)
+    x = np.zeros((channels, n_chunks * chunk), dtype=np.float64)
+    x[:, :length] = seq
+    x = x.reshape(channels, n_chunks, chunk)                     # (C, J, T)
+
+    # window i over [0]*(T-1) + K holds K[i-T+1 .. i]; reversed, it is row i
+    # of M
+    kernel = np.einsum("cn,ckn->ck", c * b_bar, powers[:, :chunk])
+    padded = np.concatenate([np.zeros((channels, chunk - 1)), kernel], axis=1)
+    toeplitz = sliding_window_view(padded, chunk, axis=1)[:, :, ::-1]  # (C, T, T)
+    y = x @ toeplitz.transpose(0, 2, 1)                          # (C, J, T)
+
+    ends = x @ (b_bar[:, None, :] * powers[:, chunk - 1::-1])     # (C, J, N)
+    step = np.broadcast_to(powers[:, chunk], (n_chunks,) + b_bar.shape)
+    states = _affine_scan(step, np.moveaxis(ends, 1, 0))         # (J, C, N)
+    carried = np.zeros_like(ends)
+    carried[:, 1:] = np.moveaxis(states[:-1], 0, 1)
+    y += carried @ (c[:, :, None] * powers[:, 1:].transpose(0, 2, 1))
+    return y.reshape(channels, n_chunks * chunk)[:, :length]
+
+
+def scan_parallel(d: SsmDiscrete, x) -> Tensor:
+    """Chunked evaluation of the recurrence: the one-channel case of the
+    core that ``ssm_bank_scan`` runs, with powers a_bar^k."""
+    seq = _as_sequence(x)
+    powers = d.a_bar[None, None, :] ** np.arange(SCAN_CHUNK + 1.0)[None, :, None]
+    y = _chunked_scan(powers, d.b_bar[None], d.c[None], seq[None])[0]
     return Tensor(y.astype(np.float32))
+
+
+def ssm_bank_scan(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, delta: np.ndarray, seq: np.ndarray
+) -> np.ndarray:
+    """Run C independent single-channel scans over a (C, L) sequence.
+
+    a, b, c: (C, N); delta: (C,).  Returns y (C, L) in float64, where
+    h_t = a_bar * h_{t-1} + b_bar * x_t and y_t = <c, h_t> per channel,
+    a_bar and b_bar from ``zoh``.  The powers a_bar^k = exp(k * delta * a),
+    k = 0 .. SCAN_CHUNK, feed the chunked core (see ``_chunked_scan``).
+    """
+    a64 = np.asarray(a, dtype=np.float64)
+    d64 = np.asarray(delta, dtype=np.float64)
+    _, b_bar = zoh(a64, d64[:, None], b)                         # (C, N)
+    z = d64[:, None] * a64
+    # exp(k z) and a_bar ** k differ in the last bits; saved decoder maps
+    # hold the bytes of exp(k z)
+    powers = np.exp(np.arange(SCAN_CHUNK + 1.0)[None, :, None] * z[:, None, :])
+    return _chunked_scan(powers, b_bar, np.asarray(c, dtype=np.float64), seq)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,8 @@ from ssmad.ssm import (
     scan_recurrent,
 )
 from ssmad.tensor import BinaryMask, Rng, Tensor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _verdict(name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -159,11 +162,10 @@ def test_recurrence_matches_convolution_on_random_instances():
     )
 
 
-def test_parallel_scan_matches_sequential_and_worker_counts():
+def test_parallel_scan_matches_sequential():
     t0 = time.perf_counter()
     rng = Rng(202)
     worst = 0.0
-    identical = True
     for length in (1, 2, 3, 5, 17, 100, 512, 1023, 2048, 4096):
         for _ in range(3):
             n = 1 + int(rng.uniform(1, 0, 8)[0])
@@ -176,16 +178,12 @@ def test_parallel_scan_matches_sequential_and_worker_counts():
             d = discretize(p)
             x = rng.uniform(length, -1.0, 1.0)
             y_seq = scan_recurrent(d, x).array
-            y_par = scan_parallel(d, x, workers=1).array
+            y_par = scan_parallel(d, x).array
             scale = max(float(np.max(np.abs(y_seq))), 1e-30)
             worst = max(worst, float(np.max(np.abs(y_par - y_seq))) / scale)
-            for w in (2, 8):
-                other = scan_parallel(d, x, workers=w).array
-                if other.tobytes() != y_par.tobytes():
-                    identical = False
     _verdict(
         f"parallel vs sequential, worst rel {worst:.2e}",
-        worst <= 1e-6 and identical,
+        worst <= 1e-6,
         time.perf_counter() - t0,
         10.0,
     )
@@ -401,10 +399,11 @@ def test_seven_metric_mean_formats_to_headline_cell():
 # ------------------------------------------------------------- end to end
 
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args):
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     return subprocess.run(
         [sys.executable, "-m", "ssmad", *args],
         capture_output=True,

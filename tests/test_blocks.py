@@ -25,10 +25,9 @@ from ssmad.blocks import (
     lss_forward,
     pointwise_conv,
     silu,
-    ssm_bank_scan,
 )
 from ssmad.scans import ScanDirection, ScanMethod, make_schedule
-from ssmad.ssm import zoh
+from ssmad.ssm import ssm_bank_scan, zoh
 from ssmad.tensor import Rng, Tensor
 
 

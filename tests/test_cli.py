@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from ssmad.metrics import aupro
 from ssmad.tensor import Tensor, read_mask_pgm_file, read_tensor_file, write_tensor_file
 
 
-def _run(args, env_extra=None):
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(args):
     env = dict(os.environ)
-    env.pop(cli.WORKERS_ENV, None)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     return subprocess.run(
         [sys.executable, "-m", "ssmad", *args],
         capture_output=True,
@@ -240,37 +244,32 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
     assert maps[0] == maps[1]
 
 
-def test_forward_worker_env_does_not_change_bytes(
-    fixture_dirs, micro_config, tmp_path
-):
-    out_a = tmp_path / "w1.mbt"
-    out_b = tmp_path / "w3.mbt"
-    base = [
-        "forward",
-        *_pyramid_args(fixture_dirs / "a0"),
-        "--config",
-        str(micro_config),
-    ]
-    r1 = _run([*base, "--out-map", str(out_a), "--workers", "1"])
-    r3 = _run([*base, "--out-map", str(out_b)], env_extra={cli.WORKERS_ENV: "3"})
-    assert r1.returncode == r3.returncode == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
-def test_forward_bad_worker_env(fixture_dirs, micro_config, tmp_path):
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ([1, 2], "JSON object"),
+        ({"stage_depths": [1, 1, 1, 1], "state_sise": 2}, "state_sise"),
+        ({"stage_depths": [1, 1, 1, 1], "state_size": 0}, "state_size"),
+    ],
+    ids=["array", "unknown-key", "state-size-0"],
+)
+def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
     r = _run(
         [
             "forward",
             *_pyramid_args(fixture_dirs / "a0"),
             "--config",
-            str(micro_config),
+            str(path),
             "--out-map",
             str(tmp_path / "m.mbt"),
-        ],
-        env_extra={cli.WORKERS_ENV: "many"},
+        ]
     )
     assert r.returncode == 2
-    assert cli.WORKERS_ENV in r.stderr
+    assert "Traceback" not in r.stderr
+    assert named in r.stderr
+    assert not (tmp_path / "m.mbt").exists()
 
 
 def test_forward_identity_decoder_zero_loss(fixture_dirs, tmp_path):
@@ -575,6 +574,26 @@ def test_bench_rejects_bad_sizes():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["bench", "--sizes", "1,x"], "--sizes"),
+        (["bench", "--sizes", "64", "--repeats", "0"], "--repeats"),
+        (["ssm-check", "--max-len", "0"], "--max-len"),
+        (["ssm-check", "--instances", "0"], "--instances"),
+        (["ssm-check", "--grad-instances", "0"], "--grad-instances"),
+        (["ssm-check", "--instances", "0", "--grad-instances", "0"], "--instances"),
+    ],
+    ids=["sizes-x", "repeats-0", "max-len-0", "instances-0", "grad-instances-0",
+         "nothing-checked"],
+)
+def test_numeric_option_out_of_range_exits_two(args, named):
+    r = _run(args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert named in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -623,27 +642,3 @@ def test_synth_normal_kind_has_empty_mask(tmp_path):
 def test_synth_rejects_bad_size(tmp_path):
     r = _run(["synth", "--kind", "normal", "--size", "15", "--out", str(tmp_path / "x")])
     assert r.returncode == 2
-
-
-# ---------------------------------------------------------------------------
-# worker resolution helper
-
-
-def test_resolve_workers_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "7")
-    assert cli.resolve_workers(2) == 2
-    assert cli.resolve_workers(None) == 7
-
-
-def test_resolve_workers_default_is_one(monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    assert cli.resolve_workers(None) == 1
-
-
-def test_resolve_workers_rejects_nonpositive(monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    with pytest.raises(cli.CliError):
-        cli.resolve_workers(0)
-    monkeypatch.setenv(cli.WORKERS_ENV, "0")
-    with pytest.raises(cli.CliError):
-        cli.resolve_workers(None)

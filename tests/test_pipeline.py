@@ -100,6 +100,12 @@ def test_config_rejects_bad_depths():
         _micro_cfg(stage_depths=(1, 1, 1))
 
 
+@pytest.mark.parametrize("field", ["state_size", "expansion"])
+def test_config_rejects_empty_banks(field):
+    with pytest.raises(ValueError, match=field):
+        _micro_cfg(**{field: 0})
+
+
 # ----------------------------------------------------------------- fusion
 
 
@@ -322,6 +328,16 @@ def test_pipeline_identity_decoder_zero_loss():
     loss, amap = pipeline_forward(p, cfg, params, identity_decoder=True)
     assert loss == 0.0
     np.testing.assert_allclose(amap.scores, 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("extent", [0, -3])
+@pytest.mark.parametrize("name", ["out_h", "out_w"])
+def test_pipeline_rejects_output_extent_below_one(name, extent):
+    p = _pyramid(seed=25)
+    cfg = _micro_cfg()
+    params = init_decoder_params(cfg, p.channels)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        pipeline_forward(p, cfg, params, identity_decoder=True, **{name: extent})
 
 
 def test_pipeline_outputs_finite_over_seeds():

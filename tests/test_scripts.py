@@ -48,7 +48,6 @@ def test_kernel_report_small_sizes():
         "--instances", "3",
         "--max-len", "32",
         "--lengths", "64",
-        "--workers", "1,2",
         "--repeats", "1",
     )
     assert r.returncode == 0, r.stderr
