@@ -76,6 +76,16 @@ IN_EPS = 1e-5
 # come in the symmetric sizes
 ALLOWED_DIRECTION_COUNTS = (1, 2, 4, 8)
 
+
+def _check_directions(directions) -> None:
+    k = len(directions)
+    if k not in ALLOWED_DIRECTION_COUNTS:
+        raise ValueError(
+            f"direction count must be one of {ALLOWED_DIRECTION_COUNTS}, got {k}"
+        )
+    if len(set(directions)) != k:
+        raise ValueError("directions must be distinct")
+
 DEFAULT_DIRECTIONS = tuple(ScanDirection)
 
 
@@ -186,13 +196,7 @@ class HssParams:
     def __post_init__(self) -> None:
         if self.channels < 1 or self.expansion < 1:
             raise ValueError("channels and expansion must be >= 1")
-        k = len(self.directions)
-        if k not in ALLOWED_DIRECTION_COUNTS:
-            raise ValueError(
-                f"direction count must be one of {ALLOWED_DIRECTION_COUNTS}, got {k}"
-            )
-        if len(set(self.directions)) != k:
-            raise ValueError("directions must be distinct")
+        _check_directions(self.directions)
         inner = self.channels * self.expansion
         shapes = {
             "ln_pre_scale": (self.channels,),
@@ -213,7 +217,7 @@ class HssParams:
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        if self.bank.directions != k or self.bank.channels != inner:
+        if self.bank.directions != len(self.directions) or self.bank.channels != inner:
             raise ValueError("bank shape does not match directions/expansion")
 
     @property

@@ -39,15 +39,7 @@ from .pipeline import (
     pipeline_forward,
     save_decoder_params,
 )
-from .scans import (
-    ScanDirection,
-    ScanMethod,
-    UnsupportedGeometry,
-    base_schedule,
-    gather_sequence,
-    make_schedule,
-    scatter_sequence,
-)
+from .scans import ScanDirection, ScanMethod, UnsupportedGeometry, make_schedule
 from .ssm import (
     SsmDiscrete,
     discretize,
@@ -65,7 +57,6 @@ from .ssm import (
 )
 from .tensor import (
     MbtError,
-    PgmError,
     Rng,
     Tensor,
     read_mask_pgm_file,
@@ -90,6 +81,16 @@ def _require_positive(**options: int) -> None:
             raise CliError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise CliError(f"cannot read {what} {path}") from None
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise CliError(f"{path}: {exc}") from None
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -105,11 +106,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_scan_order(args) -> int:
-    try:
-        method = ScanMethod(args.method)
-        direction = ScanDirection(args.direction)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    # argparse has already restricted method and direction to known values
+    method, direction = ScanMethod(args.method), ScanDirection(args.direction)
     try:
         sched = make_schedule(method, direction, args.height, args.width)
     except UnsupportedGeometry as exc:
@@ -134,6 +132,93 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)) / scale)
 
 
+def _draw_lti(rng: Rng, max_len: int, max_state: int) -> tuple[SsmParams, np.ndarray]:
+    """State size, length, parameters and input, in that draw order."""
+    n = 1 + int(rng.uniform(1, 0, max_state)[0])
+    length = 1 + int(rng.uniform(1, 0, max_len)[0])
+    p = SsmParams(
+        a=rng.uniform(n, -2.0, -0.01),
+        b=rng.uniform(n, -1.0, 1.0),
+        c=rng.uniform(n, -1.0, 1.0),
+        delta=float(rng.uniform(1, 0.1, 1.0)[0]),
+    )
+    return p, rng.uniform(length, -1.0, 1.0)
+
+
+def _draw_bank(rng: Rng, channels: int, n: int):
+    """a, b, c (channels, n) and delta (channels,) of a stable bank."""
+    a = rng.uniform(channels * n, -2.0, -0.01).reshape(channels, n)
+    b = rng.uniform(channels * n, -1.0, 1.0).reshape(channels, n)
+    c = rng.uniform(channels * n, -1.0, 1.0).reshape(channels, n)
+    return a, b, c, rng.uniform(channels, 0.1, 1.0)
+
+
+# Each case draws one instance from the shared stream and returns the
+# relative errors of the form under test against its reference.
+
+
+def _check_convolution(rng: Rng, args, index: int) -> list[float]:
+    p, x = _draw_lti(rng, args.max_len, 8)
+    d = discretize(p)
+    y_conv = scan_convolutional(build_conv_kernel(d, x.size), x).array
+    return [_rel_error(y_conv, scan_recurrent(d, x).array)]
+
+
+def _check_parallel(rng: Rng, args, index: int) -> list[float]:
+    p, x = _draw_lti(rng, args.max_len, 8)
+    d = discretize(p)
+    return [_rel_error(scan_parallel(d, x).array, scan_recurrent(d, x).array)]
+
+
+def _check_selective(rng: Rng, args, index: int) -> list[float]:
+    """With constant parameters the selective scan reduces to the LTI scan."""
+    p, x = _draw_lti(rng, args.max_len, 4)
+    length, n = x.size, p.a.size
+    s = SelectiveInputs(
+        x=x,
+        delta=np.full(length, p.delta),
+        b=np.broadcast_to(p.b, (length, n)).copy(),
+        c=np.broadcast_to(p.c, (length, n)).copy(),
+        a=p.a,
+    )
+    return [_rel_error(selective_scan(s).array, scan_recurrent(discretize(p), x).array)]
+
+
+def _check_gradient(rng: Rng, args, index: int) -> list[float]:
+    """Analytic backward pass against central differences."""
+    length = 1 + int(rng.uniform(1, 0, 16)[0])
+    n = 1 + int(rng.uniform(1, 0, 4)[0])
+    return [gradcheck(length, n, seed=args.seed * 1000 + index)["max_rel_error"]]
+
+
+def _check_bank(rng: Rng, args, index: int) -> list[float]:
+    """The chunked bank scan against the sequential kernel, channel by
+    channel; random lengths mostly leave a partial last chunk."""
+    channels = 1 + int(rng.uniform(1, 0, 8)[0])
+    n = 1 + int(rng.uniform(1, 0, 8)[0])
+    length = 1 + int(rng.uniform(1, 0, args.max_len)[0])
+    a, b, c, delta = _draw_bank(rng, channels, n)
+    x = rng.uniform(channels * length, -1.0, 1.0).reshape(channels, length)
+    y_bank = ssm_bank_scan(a, b, c, delta, x)
+    errors = []
+    for ch in range(channels):
+        a_bar, b_bar = zoh(a[ch], delta[ch], b[ch])
+        d = SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c[ch])
+        errors.append(_rel_error(y_bank[ch], scan_recurrent(d, x[ch]).array))
+    return errors
+
+
+# (report key, tolerance, instance-count option, case), run in this order
+# from one Rng(seed) stream
+_SSM_CHECKS = (
+    ("lti_equivalence", 1e-5, "instances", _check_convolution),
+    ("parallel_vs_recurrent", 1e-6, "instances", _check_parallel),
+    ("selective_lti_reduction", 1e-6, "instances", _check_selective),
+    ("gradcheck", 1e-4, "grad_instances", _check_gradient),
+    ("bank_vs_recurrent", 1e-6, "instances", _check_bank),
+)
+
+
 def cmd_ssm_check(args) -> int:
     _require_positive(
         max_len=args.max_len,
@@ -141,127 +226,21 @@ def cmd_ssm_check(args) -> int:
         grad_instances=args.grad_instances,
     )
     rng = Rng(args.seed)
-    max_len = args.max_len
-    report: dict = {"seed": args.seed, "max_len": max_len}
-    ok = True
-
-    def rand_lti(n: int) -> SsmParams:
-        return SsmParams(
-            a=rng.uniform(n, -2.0, -0.01),
-            b=rng.uniform(n, -1.0, 1.0),
-            c=rng.uniform(n, -1.0, 1.0),
-            delta=float(rng.uniform(1, 0.1, 1.0)[0]),
-        )
-
-    # recurrence vs convolution kernel
-    worst = 0.0
-    for _ in range(args.instances):
-        n = 1 + int(rng.uniform(1, 0, 8)[0])
-        length = 1 + int(rng.uniform(1, 0, max_len)[0])
-        d = discretize(rand_lti(n))
-        x = rng.uniform(length, -1.0, 1.0)
-        y_rec = scan_recurrent(d, x).array
-        y_conv = scan_convolutional(build_conv_kernel(d, length), x).array
-        worst = max(worst, _rel_error(y_conv, y_rec))
-    lti_pass = worst <= 1e-5
-    report["lti_equivalence"] = {
-        "instances": args.instances,
-        "worst_rel_error": worst,
-        "tolerance": 1e-5,
-        "pass": lti_pass,
-    }
-    ok = ok and lti_pass
-
-    # chunked parallel scan vs sequential
-    worst = 0.0
-    for _ in range(args.instances):
-        n = 1 + int(rng.uniform(1, 0, 8)[0])
-        length = 1 + int(rng.uniform(1, 0, max_len)[0])
-        d = discretize(rand_lti(n))
-        x = rng.uniform(length, -1.0, 1.0)
-        y_rec = scan_recurrent(d, x).array
-        y_par = scan_parallel(d, x).array
-        worst = max(worst, _rel_error(y_par, y_rec))
-    par_pass = worst <= 1e-6
-    report["parallel_vs_recurrent"] = {
-        "instances": args.instances,
-        "worst_rel_error": worst,
-        "tolerance": 1e-6,
-        "pass": par_pass,
-    }
-    ok = ok and par_pass
-
-    # selective scan with constant parameters reduces to the LTI scan
-    worst = 0.0
-    for _ in range(args.instances):
-        n = 1 + int(rng.uniform(1, 0, 4)[0])
-        length = 1 + int(rng.uniform(1, 0, max_len)[0])
-        p = rand_lti(n)
-        x = rng.uniform(length, -1.0, 1.0)
-        s = SelectiveInputs(
-            x=x,
-            delta=np.full(length, p.delta),
-            b=np.broadcast_to(p.b, (length, n)).copy(),
-            c=np.broadcast_to(p.c, (length, n)).copy(),
-            a=p.a,
-        )
-        y_sel = selective_scan(s).array
-        y_rec = scan_recurrent(discretize(p), x).array
-        worst = max(worst, _rel_error(y_sel, y_rec))
-    sel_pass = worst <= 1e-6
-    report["selective_lti_reduction"] = {
-        "instances": args.instances,
-        "worst_rel_error": worst,
-        "tolerance": 1e-6,
-        "pass": sel_pass,
-    }
-    ok = ok and sel_pass
-
-    # analytic backward vs central differences
-    worst = 0.0
-    for i in range(args.grad_instances):
-        length = 1 + int(rng.uniform(1, 0, 16)[0])
-        n = 1 + int(rng.uniform(1, 0, 4)[0])
-        rep = gradcheck(length, n, seed=args.seed * 1000 + i)
-        worst = max(worst, rep["max_rel_error"])
-    grad_pass = worst <= 1e-4
-    report["gradcheck"] = {
-        "instances": args.grad_instances,
-        "worst_rel_error": worst,
-        "tolerance": 1e-4,
-        "pass": grad_pass,
-    }
-    ok = ok and grad_pass
-
-    # chunked bank scan vs the sequential kernel, channel by channel; random
-    # lengths mostly leave a partial last chunk
-    worst = 0.0
-    for _ in range(args.instances):
-        channels = 1 + int(rng.uniform(1, 0, 8)[0])
-        n = 1 + int(rng.uniform(1, 0, 8)[0])
-        length = 1 + int(rng.uniform(1, 0, max_len)[0])
-        a = rng.uniform(channels * n, -2.0, -0.01).reshape(channels, n)
-        b = rng.uniform(channels * n, -1.0, 1.0).reshape(channels, n)
-        c = rng.uniform(channels * n, -1.0, 1.0).reshape(channels, n)
-        delta = rng.uniform(channels, 0.1, 1.0)
-        x = rng.uniform(channels * length, -1.0, 1.0).reshape(channels, length)
-        y_bank = ssm_bank_scan(a, b, c, delta, x)
-        for ch in range(channels):
-            a_bar, b_bar = zoh(a[ch], delta[ch], b[ch])
-            d = SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c[ch])
-            worst = max(worst, _rel_error(y_bank[ch], scan_recurrent(d, x[ch]).array))
-    bank_pass = worst <= 1e-6
-    report["bank_vs_recurrent"] = {
-        "instances": args.instances,
-        "worst_rel_error": worst,
-        "tolerance": 1e-6,
-        "pass": bank_pass,
-    }
-    ok = ok and bank_pass
-
-    report["pass"] = ok
+    report: dict = {"seed": args.seed, "max_len": args.max_len}
+    for key, tolerance, count_option, case in _SSM_CHECKS:
+        instances = getattr(args, count_option)
+        worst = 0.0
+        for index in range(instances):
+            worst = max(worst, *case(rng, args, index))
+        report[key] = {
+            "instances": instances,
+            "worst_rel_error": worst,
+            "tolerance": tolerance,
+            "pass": worst <= tolerance,
+        }
+    report["pass"] = all(report[key]["pass"] for key, *_ in _SSM_CHECKS)
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK if report["pass"] else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +285,7 @@ _CONFIG_FIELDS = {
 def _config_from_json(path: str | None) -> DecoderConfig:
     if path is None:
         return DecoderConfig()
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"cannot read config file {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise CliError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
@@ -320,7 +293,7 @@ def _config_from_json(path: str | None) -> DecoderConfig:
         raise CliError(f"{path}: unknown config keys {unknown}")
     try:
         return DecoderConfig(**{k: _CONFIG_FIELDS[k](v) for k, v in raw.items()})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"bad config: {exc}") from None
 
 
@@ -366,13 +339,7 @@ def cmd_forward(args) -> int:
 
 
 def _load_manifest_samples(path: str):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"cannot read manifest {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    raw = _read_json(path, "manifest")
     samples = raw.get("samples") if isinstance(raw, dict) else None
     if not isinstance(samples, list) or not samples:
         raise CliError("manifest must contain a non-empty 'samples' list")
@@ -386,13 +353,16 @@ def _load_manifest_samples(path: str):
             mask_path = sample["mask"]
             image_score = float(sample["image_score"])
             image_label = int(sample["image_label"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"sample {i} malformed: {exc}") from None
         if image_label not in (0, 1):
             raise CliError(f"sample {i}: image_label must be 0 or 1")
         if not np.isfinite(image_score):
             raise CliError(f"sample {i}: image_score must be finite, got {image_score}")
         category = sample.get("category", "all")
+        for key in ("score_map", "mask", "category"):
+            if not isinstance(sample.get(key, "all"), str):
+                raise CliError(f"sample {i}: {key} must be a string")
         parsed.append(
             (
                 os.path.join(base, map_path),
@@ -408,16 +378,23 @@ def _load_manifest_samples(path: str):
 def _evaluate_samples(samples, fpr_limit: float) -> MetricsReport:
     maps, masks, scores, labels = [], [], [], []
     for map_path, mask_path, image_score, image_label, _ in samples:
+        # OSError covers a missing file or a directory; ValueError a malformed
+        # file or a NUL byte in the path
         try:
             t = read_tensor_file(map_path)
-        except (FileNotFoundError, MbtError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"{map_path}: {exc}") from None
         if not np.isfinite(t.array).all():
             raise CliError(f"{map_path}: score map has non-finite values")
         try:
             m = read_mask_pgm_file(mask_path)
-        except (FileNotFoundError, PgmError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"{mask_path}: {exc}") from None
+        if t.shape != (m.height, m.width):
+            raise CliError(
+                f"{map_path}: score map shape {t.shape} does not match "
+                f"mask {m.height}x{m.width}"
+            )
         maps.append(t)
         masks.append(m)
         scores.append(image_score)
@@ -485,48 +462,29 @@ def cmd_bench(args) -> int:
     _require_positive(repeats=args.repeats)
     rng = Rng(args.seed)
     rows = ["kernel,size,median_ns_per_elem"]
-
-    if args.suite == "scan":
-        n = 8
-        d = SsmDiscrete(
-            a_bar=np.exp(rng.uniform(n, -2.0, -0.01)),
-            b_bar=rng.uniform(n, -1.0, 1.0),
-            c=rng.uniform(n, -1.0, 1.0),
-        )
-        for size in sizes:
-            x = np.asarray(
-                np.sin(np.arange(size) * 0.1) * 0.5, dtype=np.float64
+    n = 8
+    d = SsmDiscrete(
+        a_bar=np.exp(rng.uniform(n, -2.0, -0.01)),
+        b_bar=rng.uniform(n, -1.0, 1.0),
+        c=rng.uniform(n, -1.0, 1.0),
+    )
+    # the decoder's scan: a fixed bank of 16 channels with state size n, timed
+    # per channel-step
+    channels = 16
+    a, b, c, delta = _draw_bank(rng, channels, n)
+    for size in sizes:
+        x = np.sin(np.arange(size) * 0.1) * 0.5
+        xs = np.tile(x, (channels, 1))
+        sel = random_selective_inputs(size, 4, Rng(args.seed + size))
+        for name, fn, elems in (
+            ("recurrent", lambda: scan_recurrent(d, x), size),
+            ("parallel", lambda: scan_parallel(d, x), size),
+            ("selective", lambda: selective_scan(sel), size),
+            ("bank", lambda: ssm_bank_scan(a, b, c, delta, xs), channels * size),
+        ):
+            rows.append(
+                f"{name},{size},{_median_ns_per_elem(fn, elems, args.repeats):.2f}"
             )
-            sel = random_selective_inputs(size, 4, Rng(args.seed + size))
-            for name, fn in (
-                ("recurrent", lambda: scan_recurrent(d, x)),
-                ("parallel", lambda: scan_parallel(d, x)),
-                ("selective", lambda: selective_scan(sel)),
-            ):
-                rows.append(
-                    f"{name},{size},{_median_ns_per_elem(fn, size, args.repeats):.2f}"
-                )
-    elif args.suite == "gather":
-        for size in sizes:
-            side = int(np.sqrt(size))
-            side = 1 << max(1, (side - 1).bit_length())  # power of two square
-            t = Tensor(
-                rng.uniform(4 * side * side, -1.0, 1.0)
-                .reshape(4, side, side)
-                .astype(np.float32)
-            )
-            for method in ScanMethod:
-                sched = make_schedule(method, ScanDirection.FORWARD, side, side)
-
-                def roundtrip(t=t, sched=sched):
-                    scatter_sequence(gather_sequence(t, sched), sched)
-
-                rows.append(
-                    f"{method.value},{side * side},"
-                    f"{_median_ns_per_elem(roundtrip, side * side, args.repeats):.2f}"
-                )
-    else:  # pragma: no cover - argparse choices
-        raise CliError(f"unknown suite {args.suite}")
 
     _write_text(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -595,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="micro-benchmarks")
-    p.add_argument("--suite", choices=("scan", "gather"), default="scan")
     p.add_argument("--sizes", default="1024,16384,262144")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
@@ -618,15 +575,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MetricPreconditionError as exc:
         print(f"metric precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

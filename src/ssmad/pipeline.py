@@ -42,6 +42,7 @@ from .blocks import (
     LocalBranchParams,
     LssParams,
     SsmBankParams,
+    _check_directions,
     conv_block,
     init_block_params,
     init_conv_block,
@@ -128,6 +129,10 @@ class DecoderConfig:
             raise ValueError("stage_channels must list four counts when given")
         if self.state_size < 1 or self.expansion < 1:
             raise ValueError("state_size and expansion must be >= 1")
+        kernels = self.local_kernels
+        if len(kernels) != 2 or any(k < 1 or k % 2 == 0 for k in kernels):
+            raise ValueError(f"local_kernels must be two odd sizes >= 1, got {kernels}")
+        _check_directions(self.directions)
 
     def resolved_channels(self, pyramid_channels: tuple[int, int, int]) -> tuple[int, ...]:
         c1, c2, c3 = pyramid_channels

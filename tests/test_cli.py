@@ -2,8 +2,8 @@
 
 Everything here drives the installed entry point through subprocess so the
 argparse wiring, exit codes, and file outputs are exercised exactly the way
-a shell user would hit them.  A couple of failure paths that need fault
-injection call cli.main() in-process instead.
+a shell user would hit them.  Fault injection and the Hypothesis fuzz tests
+call cli.main() in-process instead.
 """
 
 import json
@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ssmad import cli
+from ssmad import cli, synth
 from ssmad.metrics import aupro
+from ssmad.scans import ScanDirection
 from ssmad.tensor import Tensor, read_mask_pgm_file, read_tensor_file, write_tensor_file
 
 
@@ -38,26 +41,14 @@ def _run(args):
 
 @pytest.fixture(scope="module")
 def fixture_dirs(tmp_path_factory):
-    """Two anomalous fixtures plus one normal one, written once and shared."""
+    """Two anomalous fixtures plus one normal one, written once and shared,
+    and two bad score maps for their 16x16 masks: one 8x8, one all Inf."""
     root = tmp_path_factory.mktemp("fixtures")
     specs = [("a0", "anomalous", 3), ("a1", "anomalous", 4), ("n0", "normal", 5)]
     for name, kind, seed in specs:
-        r = _run(
-            [
-                "synth",
-                "--kind",
-                kind,
-                "--size",
-                "16",
-                "--channels",
-                "4",
-                "--seed",
-                str(seed),
-                "--out",
-                str(root / name),
-            ]
-        )
-        assert r.returncode == 0, r.stderr
+        synth.write_fixture(str(root / name), kind, 16, 4, seed)
+    write_tensor_file(root / "small_map.mbt", Tensor(np.zeros((8, 8), np.float32)))
+    write_tensor_file(root / "inf_map.mbt", Tensor(np.full((16, 16), np.inf, np.float32)))
     return root
 
 
@@ -250,8 +241,13 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
         ([1, 2], "JSON object"),
         ({"stage_depths": [1, 1, 1, 1], "state_sise": 2}, "state_sise"),
         ({"stage_depths": [1, 1, 1, 1], "state_size": 0}, "state_size"),
+        ({"local_kernels": [4, 0]}, "bad config: local_kernels"),
+        ({"local_kernels": [5]}, "bad config: local_kernels"),
+        ({"directions": ["forward", "forward"]}, "bad config: directions must be distinct"),
+        ({"directions": ["forward", "reverse", "wh-forward"]}, "bad config: direction count"),
     ],
-    ids=["array", "unknown-key", "state-size-0"],
+    ids=["array", "unknown-key", "state-size-0", "even-kernels", "one-kernel",
+         "repeated-direction", "three-directions"],
 )
 def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
     path = tmp_path / "cfg.json"
@@ -411,30 +407,21 @@ def test_forward_rejects_map_size_below_one(fixture_dirs, tmp_path, size):
 # eval
 
 
-def _write_manifest(path, rows):
-    path.write_text(json.dumps({"samples": rows}))
-
-
-def _oracle_rows(fixture_dirs):
-    # score map == ground truth, so every metric should saturate
-    rows = []
-    for name, label, cat in (("a0", 1, "widget"), ("a1", 1, "gadget"), ("n0", 0, "widget")):
-        d = fixture_dirs / name
-        rows.append(
-            {
-                "score_map": str(d / "oracle_map.mbt"),
-                "mask": str(d / "mask.pgm"),
-                "image_score": float(label),
-                "image_label": label,
-                "category": cat,
-            }
-        )
-    return rows
+def _manifest(edits=None, row=0):
+    """The oracle samples (score map == mask, so every metric saturates),
+    paths relative to the fixture root, with ``edits`` applied to one."""
+    samples = [
+        {"score_map": f"{name}/oracle_map.mbt", "mask": f"{name}/mask.pgm",
+         "image_score": float(label), "image_label": label, "category": "widget"}
+        for name, label in (("a0", 1), ("a1", 1), ("n0", 0))
+    ]
+    samples[row].update(edits or {})
+    return {"samples": samples}
 
 
 def test_eval_perfect_oracle_scores(fixture_dirs, tmp_path):
-    manifest = tmp_path / "manifest.json"
-    _write_manifest(manifest, _oracle_rows(fixture_dirs))
+    manifest = fixture_dirs / "oracle.json"
+    manifest.write_text(json.dumps(_manifest()))
     out_json = tmp_path / "report.json"
     out_csv = tmp_path / "report.csv"
     r = _run(
@@ -460,13 +447,12 @@ def test_eval_perfect_oracle_scores(fixture_dirs, tmp_path):
     assert lines[1] == "100.0/100.0/100.0,100.0/100.0/100.0/100.0,100.0"
 
 
-def test_eval_per_category_pooling(fixture_dirs, tmp_path):
-    manifest = tmp_path / "manifest.json"
-    rows = _oracle_rows(fixture_dirs)
-    # gadget has no normal image, so give it one to keep auroc defined
-    extra = dict(rows[2])
-    extra["category"] = "gadget"
-    _write_manifest(manifest, rows + [extra])
+def test_eval_per_category_pooling(fixture_dirs):
+    manifest = fixture_dirs / "per_category.json"
+    doc = _manifest({"category": "gadget"}, row=1)
+    # gadget needs a normal image too, to keep auroc defined
+    doc["samples"].append(dict(doc["samples"][2], category="gadget"))
+    manifest.write_text(json.dumps(doc))
     r = _run(["eval", "--manifest", str(manifest), "--per-category"])
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout[: r.stdout.rindex("}") + 1])
@@ -475,20 +461,9 @@ def test_eval_per_category_pooling(fixture_dirs, tmp_path):
     assert report["mean"]["mad"] == 1.0
 
 
-def test_eval_all_normal_manifest_hits_precondition(fixture_dirs, tmp_path):
-    manifest = tmp_path / "manifest.json"
-    d = fixture_dirs / "n0"
-    _write_manifest(
-        manifest,
-        [
-            {
-                "score_map": str(d / "oracle_map.mbt"),
-                "mask": str(d / "mask.pgm"),
-                "image_score": 0.0,
-                "image_label": 0,
-            }
-        ],
-    )
+def test_eval_all_normal_manifest_hits_precondition(fixture_dirs):
+    manifest = fixture_dirs / "all_normal.json"
+    manifest.write_text(json.dumps({"samples": _manifest()["samples"][2:]}))
     r = _run(["eval", "--manifest", str(manifest)])
     assert r.returncode == 3
     assert "precondition" in r.stderr
@@ -507,39 +482,28 @@ def test_eval_malformed_manifest(tmp_path):
     assert "malformed" in r.stderr
 
 
-def test_eval_rejects_non_binary_label(fixture_dirs, tmp_path):
-    manifest = tmp_path / "manifest.json"
-    rows = _oracle_rows(fixture_dirs)
-    rows[0]["image_label"] = 2
-    _write_manifest(manifest, rows)
-    r = _run(["eval", "--manifest", str(manifest)])
+@pytest.mark.parametrize(
+    "edits, named",
+    [
+        ({"score_map": "small_map.mbt"}, "small_map.mbt: score map shape (8, 8) does not"),
+        ({"score_map": "a0/feat_0.mbt"}, "feat_0.mbt: score map shape (4, 16, 16) does not"),
+        ({"score_map": 5}, "sample 0: score_map must be a string"),
+        ({"category": ["a"]}, "sample 0: category must be a string"),
+        ({"category": 1}, "sample 0: category must be a string"),  # next to "widget"
+        ({"image_label": 2}, "sample 0: image_label must be 0 or 1"),
+        ({"image_score": "nan"}, "sample 0: image_score must be finite"),
+        ({"score_map": "inf_map.mbt"}, "inf_map.mbt: score map has non-finite values"),
+    ],
+    ids=["8x8-map", "3-d-map", "int-score-map", "list-category", "int-and-str-categories",
+         "label-2", "nan-image-score", "inf-in-score-map"],
+)
+def test_eval_rejects_bad_sample(fixture_dirs, edits, named):
+    manifest = fixture_dirs / "bad_sample.json"
+    manifest.write_text(json.dumps(_manifest(edits)))
+    r = _run(["eval", "--manifest", str(manifest), "--per-category"])
     assert r.returncode == 2
-    assert "image_label" in r.stderr
-
-
-def test_eval_rejects_nan_image_score(fixture_dirs, tmp_path):
-    manifest = tmp_path / "manifest.json"
-    rows = _oracle_rows(fixture_dirs)
-    rows[1]["image_score"] = "nan"
-    _write_manifest(manifest, rows)
-    r = _run(["eval", "--manifest", str(manifest)])
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert "sample 1" in r.stderr and "image_score" in r.stderr
-
-
-def test_eval_rejects_inf_in_score_map(fixture_dirs, tmp_path):
-    manifest = tmp_path / "manifest.json"
-    rows = _oracle_rows(fixture_dirs)
-    bad = read_tensor_file(rows[0]["score_map"]).array.copy()
-    bad.flat[3] = np.inf
-    rows[0]["score_map"] = str(tmp_path / "inf_map.mbt")
-    write_tensor_file(rows[0]["score_map"], Tensor(bad))
-    _write_manifest(manifest, rows)
-    r = _run(["eval", "--manifest", str(manifest)])
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert "inf_map.mbt" in r.stderr and "non-finite" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert named in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -547,44 +511,36 @@ def test_eval_rejects_inf_in_score_map(fixture_dirs, tmp_path):
 
 
 def test_bench_scan_suite_rows():
-    r = _run(["bench", "--suite", "scan", "--sizes", "64,128", "--repeats", "2"])
+    r = _run(["bench", "--sizes", "64,128", "--repeats", "2"])
     assert r.returncode == 0, r.stderr
     lines = r.stdout.strip().splitlines()
     assert lines[0] == "kernel,size,median_ns_per_elem"
-    assert len(lines) == 1 + 2 * 3  # two sizes, three kernels
+    assert len(lines) == 1 + 2 * 4  # two sizes, four kernels
     for line in lines[1:]:
         kernel, size, ns = line.split(",")
-        assert kernel in ("recurrent", "parallel", "selective")
+        assert kernel in ("recurrent", "parallel", "selective", "bank")
         assert int(size) in (64, 128)
         assert float(ns) > 0.0
 
 
-def test_bench_gather_suite_rows():
-    r = _run(["bench", "--suite", "gather", "--sizes", "64", "--repeats", "2"])
-    assert r.returncode == 0, r.stderr
-    lines = r.stdout.strip().splitlines()
-    assert len(lines) == 1 + 5  # five scan methods on one size
-    methods = [line.split(",")[0] for line in lines[1:]]
-    assert sorted(methods) == ["hilbert", "scan", "sweep", "zigzag", "zorder"]
-    assert all(float(line.split(",")[2]) > 0.0 for line in lines[1:])
-
-
-def test_bench_rejects_bad_sizes():
-    r = _run(["bench", "--sizes", "0,-3"])
+def test_bench_has_no_suite_option():
+    r = _run(["bench", "--suite", "scan", "--sizes", "64"])
     assert r.returncode == 2
+    assert "--suite" in r.stderr
 
 
 @pytest.mark.parametrize(
     "args, named",
     [
         (["bench", "--sizes", "1,x"], "--sizes"),
+        (["bench", "--sizes", "0,-3"], "--sizes"),
         (["bench", "--sizes", "64", "--repeats", "0"], "--repeats"),
         (["ssm-check", "--max-len", "0"], "--max-len"),
         (["ssm-check", "--instances", "0"], "--instances"),
         (["ssm-check", "--grad-instances", "0"], "--grad-instances"),
         (["ssm-check", "--instances", "0", "--grad-instances", "0"], "--instances"),
     ],
-    ids=["sizes-x", "repeats-0", "max-len-0", "instances-0", "grad-instances-0",
+    ids=["sizes-x", "sizes-0", "repeats-0", "max-len-0", "instances-0", "grad-instances-0",
          "nothing-checked"],
 )
 def test_numeric_option_out_of_range_exits_two(args, named):
@@ -592,6 +548,87 @@ def test_numeric_option_out_of_range_exits_two(args, named):
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
     assert named in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzz: corrupted manifests and configs end in exit 0, 2 or 3 with at most
+# one line on stderr, never a traceback; in-process, so no subprocesses
+
+_MICRO_CONFIG = {"stage_depths": [1, 1, 1, 1], "hss_per_stage": [1, 1, 1, 1], "state_size": 2}
+# small counts only: a large decoder is slow, not wrong
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(-2, 4),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), "", "small_map.mbt",
+                     "a0/feat_0.mbt", "a0/mask.pgm", "hilbert"]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 4), max_size=5),
+    st.lists(st.sampled_from([d.value for d in ScanDirection] + ["up"]), max_size=9),
+)
+
+
+def _fuzz_main(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert code == 0 or len(err.strip().splitlines()) == 1, err
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(
+    manifest=st.one_of(
+        st.builds(
+            _manifest,
+            st.dictionaries(
+                st.sampled_from(["score_map", "mask", "image_score", "image_label", "category"]),
+                _JUNK,
+                max_size=3,
+            ),
+            st.integers(0, 2),
+        ),
+        _JUNK,
+    ),
+    per_category=st.booleans(),
+)
+@example(manifest=_manifest({"score_map": 5}), per_category=False)
+@example(manifest=_manifest({"category": ["a"]}), per_category=True)
+@example(manifest=_manifest({"category": 1}), per_category=True)
+@example(manifest=_manifest({"score_map": "small_map.mbt"}), per_category=False)
+@example(manifest=_manifest({"score_map": "a0/feat_0.mbt"}), per_category=False)
+@example(manifest=_manifest({"image_score": 10**400}), per_category=False)
+@example(manifest=_manifest({"mask": "n0/\x00mask.pgm"}, row=2), per_category=False)
+def test_eval_fuzzed_manifest_exits_cleanly(fixture_dirs, capsys, manifest, per_category):
+    path = fixture_dirs / "fuzz_manifest.json"
+    path.write_text(json.dumps(manifest))
+    argv = ["eval", "--manifest", str(path), "--out-json", str(fixture_dirs / "fuzz.json")]
+    _fuzz_main(capsys, argv + ["--per-category"] * per_category)
+
+
+@_FUZZ
+@given(
+    config=st.one_of(
+        st.dictionaries(st.sampled_from([*cli._CONFIG_FIELDS, "bogus"]), _JUNK, max_size=3)
+        .map(lambda edits: {**_MICRO_CONFIG, **edits}),
+        _JUNK,
+    )
+)
+@example(config={**_MICRO_CONFIG, "local_kernels": [4, 0]})
+@example(config={**_MICRO_CONFIG, "local_kernels": [5]})
+@example(config={**_MICRO_CONFIG, "directions": ["forward", "forward"]})
+@example(config={**_MICRO_CONFIG, "directions": ["forward", "reverse", "wh-forward"]})
+@example(config={**_MICRO_CONFIG, "state_size": float("inf")})
+def test_forward_fuzzed_config_exits_cleanly(fixture_dirs, capsys, config):
+    path = fixture_dirs / "fuzz_config.json"
+    path.write_text(json.dumps(config))
+    argv = ["forward", *_pyramid_args(fixture_dirs / "a0"), "--config", str(path),
+            "--out-map", str(fixture_dirs / "fuzz_map.mbt")]
+    _fuzz_main(capsys, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Smoke runs of the `scripts/` entry points with tiny arguments.
+"""Smoke runs of every `scripts/*.py` entry point with tiny arguments.
 
 Each script runs in a subprocess exactly as documented in its docstring, with
-the package source on the import path, and must exit 0.
+the package source on the import path, and must exit 0.  ``SMOKE`` must name
+exactly the scripts that exist, so an added script cannot go untested.
 """
 
 import json
@@ -10,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
 def _run_script(name, *args):
@@ -27,28 +31,32 @@ def _run_script(name, *args):
     )
 
 
-def test_e2e_demo_oracle_scores_saturate(tmp_path):
-    r = _run_script("e2e_demo.py", "--out", str(tmp_path), "--scores", "oracle")
-    assert r.returncode == 0, r.stderr
-    report = json.loads((tmp_path / "report.json").read_text())
+def _oracle_scores_saturate(result, out):
+    report = json.loads((out / "report.json").read_text())
     values = [*report["image"].values(), *report["pixel"].values(), report["mad"]]
     assert len(values) == 8
     assert values == [1.0] * 8
 
 
-def test_scan_gallery_small_grid():
-    r = _run_script("scan_gallery.py", "--side", "4", "--no-matrix")
-    assert r.returncode == 0, r.stderr
-    assert "locality on a 4x4 grid" in r.stdout
+def _prints_locality_table(result, out):
+    assert "locality on a 4x4 grid" in result.stdout
 
 
-def test_kernel_report_small_sizes():
-    r = _run_script(
-        "kernel_report.py",
-        "--instances", "3",
-        "--max-len", "32",
-        "--lengths", "64",
-        "--repeats", "1",
-    )
+# script -> (arguments, with "{out}" standing for a fresh directory; check of
+# the finished run)
+SMOKE = {
+    "e2e_demo.py": (["--out", "{out}", "--scores", "oracle"], _oracle_scores_saturate),
+    "scan_gallery.py": (["--side", "4", "--no-matrix"], _prints_locality_table),
+}
+
+
+def test_smoke_table_names_every_script():
+    assert sorted(SMOKE) == SCRIPTS
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_smoke(name, tmp_path):
+    args, check = SMOKE[name]  # KeyError: the script has no smoke entry
+    r = _run_script(name, *(a.replace("{out}", str(tmp_path)) for a in args))
     assert r.returncode == 0, r.stderr
-    assert "ssm_bank_scan" in r.stdout
+    check(r, tmp_path)
