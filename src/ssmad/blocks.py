@@ -78,6 +78,8 @@ ALLOWED_DIRECTION_COUNTS = (1, 2, 4, 8)
 
 
 def _check_directions(directions) -> None:
+    """Raise ValueError unless ``directions`` are distinct and of an allowed
+    count; ``DecoderConfig`` calls it too, to reject a bad config early."""
     k = len(directions)
     if k not in ALLOWED_DIRECTION_COUNTS:
         raise ValueError(
@@ -85,6 +87,7 @@ def _check_directions(directions) -> None:
         )
     if len(set(directions)) != k:
         raise ValueError("directions must be distinct")
+
 
 DEFAULT_DIRECTIONS = tuple(ScanDirection)
 

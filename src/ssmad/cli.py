@@ -264,8 +264,16 @@ def _load_pyramid(paths) -> FeaturePyramid:
         raise CliError(str(exc)) from None
 
 
+def _json_list(values) -> list:
+    # a JSON string or object is iterable too; refuse it rather than
+    # reading "1111" as four ones
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {values!r}")
+    return values
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(int(v) for v in _json_list(values))
 
 
 # config JSON key -> converter to the DecoderConfig field of the same name
@@ -274,7 +282,7 @@ _CONFIG_FIELDS = {
     "hss_per_stage": _ints,
     "stage_channels": lambda v: None if v is None else _ints(v),
     "scan_method": ScanMethod,
-    "directions": lambda v: tuple(ScanDirection(d) for d in v),
+    "directions": lambda v: tuple(ScanDirection(d) for d in _json_list(v)),
     "state_size": int,
     "expansion": int,
     "local_kernels": _ints,
@@ -348,9 +356,12 @@ def _load_manifest_samples(path: str):
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):
             raise CliError(f"sample {i} is not an object")
+        for key in ("score_map", "mask", "category"):
+            if not isinstance(sample.get(key, "all"), str):
+                raise CliError(f"sample {i}: {key} must be a string")
         try:
-            map_path = sample["score_map"]
-            mask_path = sample["mask"]
+            map_path = os.path.join(base, sample["score_map"])
+            mask_path = os.path.join(base, sample["mask"])
             image_score = float(sample["image_score"])
             image_label = int(sample["image_label"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -360,18 +371,7 @@ def _load_manifest_samples(path: str):
         if not np.isfinite(image_score):
             raise CliError(f"sample {i}: image_score must be finite, got {image_score}")
         category = sample.get("category", "all")
-        for key in ("score_map", "mask", "category"):
-            if not isinstance(sample.get(key, "all"), str):
-                raise CliError(f"sample {i}: {key} must be a string")
-        parsed.append(
-            (
-                os.path.join(base, map_path),
-                os.path.join(base, mask_path),
-                image_score,
-                image_label,
-                category,
-            )
-        )
+        parsed.append((map_path, mask_path, image_score, image_label, category))
     return parsed
 
 
@@ -416,26 +416,22 @@ def cmd_eval(args) -> int:
             for cat in categories
         }
         mean_vals = np.mean([r.values() for r in reports.values()], axis=0)
-        combined = MetricsReport(*[float(v) for v in mean_vals])
+        report = MetricsReport(*[float(v) for v in mean_vals])
         payload = {
             "pooling": "per-category-mean",
             "categories": {
                 cat: json.loads(r.to_json()) for cat, r in reports.items()
             },
-            "mean": json.loads(combined.to_json()),
+            "mean": json.loads(report.to_json()),
         }
-        report_json = json.dumps(payload, indent=2, sort_keys=True)
-        report = combined
     else:
         report = _evaluate_samples(samples, args.fpr_limit)
         payload = json.loads(report.to_json())
         payload["pooling"] = "pooled"
-        report_json = json.dumps(payload, indent=2, sort_keys=True)
 
     image, pixel, mad_cell = report.csv_cells()
-    csv_text = "image,pixel,mAD\n" + f"{image},{pixel},{mad_cell}\n"
-    _write_text(args.out_json, report_json)
-    _write_text(args.out_csv, csv_text)
+    _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True))
+    _write_text(args.out_csv, f"image,pixel,mAD\n{image},{pixel},{mad_cell}\n")
     return EXIT_OK
 
 

@@ -42,29 +42,26 @@ def _run(args):
 @pytest.fixture(scope="module")
 def fixture_dirs(tmp_path_factory):
     """Two anomalous fixtures plus one normal one, written once and shared,
-    and two bad score maps for their 16x16 masks: one 8x8, one all Inf."""
+    and two bad score maps for their 16x16 masks: one 8x8, one finite but
+    for a single Inf pixel."""
     root = tmp_path_factory.mktemp("fixtures")
     specs = [("a0", "anomalous", 3), ("a1", "anomalous", 4), ("n0", "normal", 5)]
     for name, kind, seed in specs:
         synth.write_fixture(str(root / name), kind, 16, 4, seed)
     write_tensor_file(root / "small_map.mbt", Tensor(np.zeros((8, 8), np.float32)))
-    write_tensor_file(root / "inf_map.mbt", Tensor(np.full((16, 16), np.inf, np.float32)))
+    inf_map = np.zeros((16, 16), np.float32)
+    inf_map.flat[3] = np.inf
+    write_tensor_file(root / "inf_map.mbt", Tensor(inf_map))
     return root
+
+
+_MICRO_CONFIG = {"stage_depths": [1, 1, 1, 1], "hss_per_stage": [1, 1, 1, 1], "state_size": 2}
 
 
 @pytest.fixture(scope="module")
 def micro_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "micro.json"
-    path.write_text(
-        json.dumps(
-            {
-                "stage_depths": [1, 1, 1, 1],
-                "hss_per_stage": [1, 1, 1, 1],
-                "state_size": 2,
-                "seed": 7,
-            }
-        )
-    )
+    path.write_text(json.dumps({**_MICRO_CONFIG, "seed": 7}))
     return path
 
 
@@ -245,9 +242,13 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
         ({"local_kernels": [5]}, "bad config: local_kernels"),
         ({"directions": ["forward", "forward"]}, "bad config: directions must be distinct"),
         ({"directions": ["forward", "reverse", "wh-forward"]}, "bad config: direction count"),
+        ({"stage_depths": "1111", "hss_per_stage": [1, 1, 1, 1]},
+         "bad config: expected a list, got '1111'"),
+        ({"directions": "forward"}, "bad config: expected a list, got 'forward'"),
     ],
     ids=["array", "unknown-key", "state-size-0", "even-kernels", "one-kernel",
-         "repeated-direction", "three-directions"],
+         "repeated-direction", "three-directions", "string-for-list",
+         "string-for-directions"],
 )
 def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
     path = tmp_path / "cfg.json"
@@ -483,23 +484,23 @@ def test_eval_malformed_manifest(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edits, named",
+    "edits, row, named",
     [
-        ({"score_map": "small_map.mbt"}, "small_map.mbt: score map shape (8, 8) does not"),
-        ({"score_map": "a0/feat_0.mbt"}, "feat_0.mbt: score map shape (4, 16, 16) does not"),
-        ({"score_map": 5}, "sample 0: score_map must be a string"),
-        ({"category": ["a"]}, "sample 0: category must be a string"),
-        ({"category": 1}, "sample 0: category must be a string"),  # next to "widget"
-        ({"image_label": 2}, "sample 0: image_label must be 0 or 1"),
-        ({"image_score": "nan"}, "sample 0: image_score must be finite"),
-        ({"score_map": "inf_map.mbt"}, "inf_map.mbt: score map has non-finite values"),
+        ({"score_map": "small_map.mbt"}, 0, "small_map.mbt: score map shape (8, 8) does not"),
+        ({"score_map": "a0/feat_0.mbt"}, 0, "feat_0.mbt: score map shape (4, 16, 16) does not"),
+        ({"score_map": 5}, 0, "sample 0: score_map must be a string"),
+        ({"category": ["a"]}, 0, "sample 0: category must be a string"),
+        ({"category": 1}, 0, "sample 0: category must be a string"),  # next to "widget"
+        ({"image_label": 2}, 0, "sample 0: image_label must be 0 or 1"),
+        ({"image_score": "nan"}, 1, "sample 1: image_score must be finite"),
+        ({"score_map": "inf_map.mbt"}, 0, "inf_map.mbt: score map has non-finite values"),
     ],
     ids=["8x8-map", "3-d-map", "int-score-map", "list-category", "int-and-str-categories",
          "label-2", "nan-image-score", "inf-in-score-map"],
 )
-def test_eval_rejects_bad_sample(fixture_dirs, edits, named):
+def test_eval_rejects_bad_sample(fixture_dirs, edits, row, named):
     manifest = fixture_dirs / "bad_sample.json"
-    manifest.write_text(json.dumps(_manifest(edits)))
+    manifest.write_text(json.dumps(_manifest(edits, row)))
     r = _run(["eval", "--manifest", str(manifest), "--per-category"])
     assert r.returncode == 2
     assert len(r.stderr.strip().splitlines()) == 1
@@ -554,7 +555,6 @@ def test_numeric_option_out_of_range_exits_two(args, named):
 # fuzz: corrupted manifests and configs end in exit 0, 2 or 3 with at most
 # one line on stderr, never a traceback; in-process, so no subprocesses
 
-_MICRO_CONFIG = {"stage_depths": [1, 1, 1, 1], "hss_per_stage": [1, 1, 1, 1], "state_size": 2}
 # small counts only: a large decoder is slow, not wrong
 _JUNK = st.one_of(
     st.none(),
@@ -562,7 +562,7 @@ _JUNK = st.one_of(
     st.integers(-2, 4),
     st.floats(-2, 4),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), "", "small_map.mbt",
-                     "a0/feat_0.mbt", "a0/mask.pgm", "hilbert"]),
+                     "inf_map.mbt", "a0/feat_0.mbt", "a0/mask.pgm", "hilbert"]),
     st.text(max_size=4),
     st.lists(st.integers(-2, 4), max_size=5),
     st.lists(st.sampled_from([d.value for d in ScanDirection] + ["up"]), max_size=9),
@@ -601,6 +601,7 @@ _FUZZ = settings(max_examples=60, deadline=None,
 @example(manifest=_manifest({"category": 1}), per_category=True)
 @example(manifest=_manifest({"score_map": "small_map.mbt"}), per_category=False)
 @example(manifest=_manifest({"score_map": "a0/feat_0.mbt"}), per_category=False)
+@example(manifest=_manifest({"score_map": "inf_map.mbt"}, row=1), per_category=False)
 @example(manifest=_manifest({"image_score": 10**400}), per_category=False)
 @example(manifest=_manifest({"mask": "n0/\x00mask.pgm"}, row=2), per_category=False)
 def test_eval_fuzzed_manifest_exits_cleanly(fixture_dirs, capsys, manifest, per_category):
@@ -623,6 +624,7 @@ def test_eval_fuzzed_manifest_exits_cleanly(fixture_dirs, capsys, manifest, per_
 @example(config={**_MICRO_CONFIG, "directions": ["forward", "forward"]})
 @example(config={**_MICRO_CONFIG, "directions": ["forward", "reverse", "wh-forward"]})
 @example(config={**_MICRO_CONFIG, "state_size": float("inf")})
+@example(config={**_MICRO_CONFIG, "stage_depths": "1111"})
 def test_forward_fuzzed_config_exits_cleanly(fixture_dirs, capsys, config):
     path = fixture_dirs / "fuzz_config.json"
     path.write_text(json.dumps(config))

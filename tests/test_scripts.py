@@ -34,7 +34,6 @@ def _run_script(name, *args):
 def _oracle_scores_saturate(result, out):
     report = json.loads((out / "report.json").read_text())
     values = [*report["image"].values(), *report["pixel"].values(), report["mad"]]
-    assert len(values) == 8
     assert values == [1.0] * 8
 
 
