@@ -312,11 +312,15 @@ def cmd_forward(args) -> int:
     cfg = _config_from_json(args.config)
     channels = pyramid.channels
     try:
+        cfg.resolved_channels(channels)
+    except ValueError as exc:
+        raise CliError(f"bad config: {exc}") from None
+    try:
         if args.params:
             params = load_decoder_params(args.params, cfg, channels)
         else:
             params = init_decoder_params(cfg, channels)
-    except (FileNotFoundError, MbtError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load parameters: {exc}") from None
     if args.save_params:
         save_decoder_params(args.save_params, params)

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -38,10 +37,7 @@ from .blocks import (
     DEFAULT_DIRECTIONS,
     BlockConfig,
     ConvBParams,
-    HssParams,
-    LocalBranchParams,
     LssParams,
-    SsmBankParams,
     _check_directions,
     conv_block,
     init_block_params,
@@ -378,160 +374,92 @@ def pipeline_forward(
 # ---------------------------------------------------------------------------
 # parameter serialisation: a directory of MBT tensors plus a JSON manifest
 
-
-def _flatten_conv_block(prefix: str, p: ConvBParams, out: dict) -> None:
-    out[f"{prefix}.weight"] = p.weight
-    out[f"{prefix}.bias"] = p.bias
-    out[f"{prefix}.norm_scale"] = p.norm_scale
-    out[f"{prefix}.norm_shift"] = p.norm_shift
+# a tuple field's items are named by label and index, one label per level:
+# stages[s][m] is stage{s}.lss{m}; a dataclass field adds its own name
+_ITEM_LABELS = {"stages": ("stage", "lss"), "hss": ("hss",), "adapters": ("adapter",)}
 
 
-def _flatten_hss(prefix: str, p: HssParams, out: dict) -> None:
-    for name in (
-        "ln_pre_scale",
-        "ln_pre_shift",
-        "in_weight",
-        "in_bias",
-        "gate_weight",
-        "gate_bias",
-        "dw_weight",
-        "dw_bias",
-        "ln_post_scale",
-        "ln_post_shift",
-        "out_weight",
-        "out_bias",
-    ):
-        out[f"{prefix}.{name}"] = getattr(p, name)
-    for name in ("a", "b", "c", "delta"):
-        out[f"{prefix}.bank.{name}"] = getattr(p.bank, name).astype(np.float32)
-
-
-def _flatten_local(prefix: str, p: LocalBranchParams, out: dict) -> None:
-    _flatten_conv_block(f"{prefix}.pre", p.pre, out)
-    out[f"{prefix}.dw_weight"] = p.dw_weight
-    out[f"{prefix}.dw_bias"] = p.dw_bias
-    _flatten_conv_block(f"{prefix}.post", p.post, out)
-
-
-def _flatten_lss(prefix: str, p: LssParams, out: dict) -> None:
-    for i, hp in enumerate(p.hss):
-        _flatten_hss(f"{prefix}.hss{i}", hp, out)
-    _flatten_local(f"{prefix}.local5", p.local5, out)
-    _flatten_local(f"{prefix}.local7", p.local7, out)
-    out[f"{prefix}.fuse_weight"] = p.fuse_weight
-    out[f"{prefix}.fuse_bias"] = p.fuse_bias
-
-
-def _flatten_decoder(params: DecoderParams) -> dict:
-    out: dict = {}
-    _flatten_conv_block("fuse", params.fuse, out)
-    for si, stage in enumerate(params.stages):
-        for mi, module in enumerate(stage):
-            _flatten_lss(f"stage{si}.lss{mi}", module, out)
-    _flatten_conv_block("adapter0", params.adapters[0], out)
-    _flatten_conv_block("adapter1", params.adapters[1], out)
-    return out
+def _map_tensors(node, fn, name: str = "", labels: tuple[str, ...] = ()):
+    """Rebuild a parameter tree with each array replaced by fn(name, array),
+    where a name such as ``stage0.lss1.hss0.bank.a`` is the array's path.
+    Every dataclass is rebuilt through its constructor, so its checks run
+    again; a failure is re-raised with the node's name."""
+    if isinstance(node, np.ndarray):
+        return fn(name, node)
+    base = f"{name}." if name else ""
+    if labels:
+        return tuple(
+            _map_tensors(item, fn, f"{base}{labels[0]}{i}", labels[1:])
+            for i, item in enumerate(node)
+        )
+    if not is_dataclass(node):
+        return node
+    rebuilt = {}
+    for f in fields(node):
+        item_labels = _ITEM_LABELS.get(f.name, ())
+        child = name if item_labels else base + f.name
+        rebuilt[f.name] = _map_tensors(getattr(node, f.name), fn, child, item_labels)
+    try:
+        return type(node)(**rebuilt)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def save_decoder_params(directory, params: DecoderParams) -> None:
-    """One MBT file per tensor; manifest.json maps role -> file and shape."""
+    """One MBT file per tensor, named after it; manifest.json maps each
+    tensor name to its file and shape."""
     os.makedirs(directory, exist_ok=True)
-    tensors = _flatten_decoder(params)
-    manifest = {"format": "mbt-dir/1", "tensors": {}}
-    for name, arr in tensors.items():
-        fname = re.sub(r"[^A-Za-z0-9_.-]", "_", name) + ".mbt"
-        t = Tensor(np.asarray(arr, dtype=np.float32))
-        write_tensor_file(os.path.join(directory, fname), t)
-        manifest["tensors"][name] = {"file": fname, "shape": list(t.shape)}
+    entries = {}
+
+    def write(name: str, arr: np.ndarray) -> np.ndarray:
+        fname = f"{name}.mbt"
+        write_tensor_file(os.path.join(directory, fname), Tensor(arr))
+        entries[name] = {"file": fname, "shape": list(arr.shape)}
+        return arr
+
+    _map_tensors(params, write)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump({"format": "mbt-dir/1", "tensors": entries}, fh, indent=2, sort_keys=True)
 
 
 def load_decoder_params(
     directory, cfg: DecoderConfig, pyramid_channels: tuple[int, int, int]
 ) -> DecoderParams:
-    """Rebuild DecoderParams from a saved directory; every tensor must be
-    finite, and shapes (and bank stability) are validated by the dataclass
-    constructors against cfg and the pyramid."""
+    """Rebuild DecoderParams from a directory saved under the same cfg and
+    pyramid channels.  Each tensor of ``init_decoder_params(cfg,
+    pyramid_channels)`` is replaced by the saved one of its name, which must
+    have its shape and be finite; the manifest may name no other tensor.  A
+    malformed manifest, a missing, extra, misshapen or non-finite tensor, or
+    an unstable bank raises ValueError naming it."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "mbt-dir/1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "mbt-dir/1":
         raise ValueError("unrecognised parameter manifest")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, dict):
+        raise ValueError("parameter manifest must map tensor names to entries")
+    unread = dict(entries)
 
-    loaded = {}
-    for name, entry in manifest["tensors"].items():
+    def read(name: str, want: np.ndarray) -> np.ndarray:
+        if name not in unread:
+            raise ValueError(f"{name} is missing from the parameter manifest")
+        entry = unread.pop(name)
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("file"), str)
+            and isinstance(entry.get("shape"), list)
+        ):
+            raise ValueError(f"{name}: manifest entry must hold a file name and a shape list")
         t = read_tensor_file(os.path.join(directory, entry["file"]))
-        if list(t.shape) != list(entry["shape"]):
+        if list(t.shape) != entry["shape"]:
             raise ValueError(f"shape mismatch for {name}")
+        if t.shape != want.shape:
+            raise ValueError(f"{name} has shape {t.shape}, the config needs {want.shape}")
         if not np.isfinite(t.array).all():
             raise ValueError(f"{name} has non-finite values")
-        loaded[name] = t.array
+        return t.array
 
-    def conv(prefix: str) -> ConvBParams:
-        return ConvBParams(
-            weight=loaded[f"{prefix}.weight"],
-            bias=loaded[f"{prefix}.bias"],
-            norm_scale=loaded[f"{prefix}.norm_scale"],
-            norm_shift=loaded[f"{prefix}.norm_shift"],
-        )
-
-    def hss(prefix: str, channels: int) -> HssParams:
-        try:
-            bank = SsmBankParams(
-                a=loaded[f"{prefix}.bank.a"].astype(np.float64),
-                b=loaded[f"{prefix}.bank.b"].astype(np.float64),
-                c=loaded[f"{prefix}.bank.c"].astype(np.float64),
-                delta=loaded[f"{prefix}.bank.delta"].astype(np.float64),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{prefix}.bank: {exc}") from None
-        return HssParams(
-            channels=channels,
-            expansion=cfg.expansion,
-            method=cfg.scan_method,
-            directions=tuple(cfg.directions),
-            ln_pre_scale=loaded[f"{prefix}.ln_pre_scale"],
-            ln_pre_shift=loaded[f"{prefix}.ln_pre_shift"],
-            in_weight=loaded[f"{prefix}.in_weight"],
-            in_bias=loaded[f"{prefix}.in_bias"],
-            gate_weight=loaded[f"{prefix}.gate_weight"],
-            gate_bias=loaded[f"{prefix}.gate_bias"],
-            dw_weight=loaded[f"{prefix}.dw_weight"],
-            dw_bias=loaded[f"{prefix}.dw_bias"],
-            bank=bank,
-            ln_post_scale=loaded[f"{prefix}.ln_post_scale"],
-            ln_post_shift=loaded[f"{prefix}.ln_post_shift"],
-            out_weight=loaded[f"{prefix}.out_weight"],
-            out_bias=loaded[f"{prefix}.out_bias"],
-        )
-
-    def local(prefix: str) -> LocalBranchParams:
-        return LocalBranchParams(
-            pre=conv(f"{prefix}.pre"),
-            dw_weight=loaded[f"{prefix}.dw_weight"],
-            dw_bias=loaded[f"{prefix}.dw_bias"],
-            post=conv(f"{prefix}.post"),
-        )
-
-    def lss(prefix: str, channels: int, m: int) -> LssParams:
-        return LssParams(
-            hss=tuple(hss(f"{prefix}.hss{i}", channels) for i in range(m)),
-            local5=local(f"{prefix}.local5"),
-            local7=local(f"{prefix}.local7"),
-            fuse_weight=loaded[f"{prefix}.fuse_weight"],
-            fuse_bias=loaded[f"{prefix}.fuse_bias"],
-        )
-
-    stage_ch = cfg.resolved_channels(pyramid_channels)
-    stages = tuple(
-        tuple(
-            lss(f"stage{si}.lss{mi}", stage_ch[si], cfg.hss_per_stage[si])
-            for mi in range(cfg.stage_depths[si])
-        )
-        for si in range(4)
-    )
-    return DecoderParams(
-        fuse=conv("fuse"),
-        stages=stages,
-        adapters=(conv("adapter0"), conv("adapter1")),
-    )
+    params = _map_tensors(init_decoder_params(cfg, pyramid_channels), read)
+    if unread:
+        raise ValueError(f"{min(unread)} is in the parameter manifest but not in the config")
+    return params

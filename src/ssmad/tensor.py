@@ -161,6 +161,9 @@ class BinaryMask:
 # deterministic RNG
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class Rng:
@@ -172,10 +175,10 @@ class Rng:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -183,15 +186,22 @@ class Rng:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniform(self, n: int, lo: float, hi: float) -> np.ndarray:
-        """n doubles in [lo, hi), consumed left to right from the stream."""
+        """n doubles in [lo, hi), consumed left to right from the stream.
+
+        The same values as n calls of ``next_float``, computed at once: the
+        k-th state is state + k * gamma, and uint64 arithmetic wraps modulo
+        2**64 just as the scalar form's masks do."""
         if n < 0:
             raise ValueError("n must be >= 0")
         if not lo < hi:
             raise ValueError("need lo < hi")
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = lo + self.next_float() * (hi - lo)
-        return out
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return lo + (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 * (hi - lo)
 
 
 # ---------------------------------------------------------------------------

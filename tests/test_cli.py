@@ -8,6 +8,7 @@ call cli.main() in-process instead.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -245,10 +246,11 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
         ({"stage_depths": "1111", "hss_per_stage": [1, 1, 1, 1]},
          "bad config: expected a list, got '1111'"),
         ({"directions": "forward"}, "bad config: expected a list, got 'forward'"),
+        ({"stage_channels": [1, 2, 3, 4]}, "bad config: stage_channels (1, 2, 3, 4)"),
     ],
     ids=["array", "unknown-key", "state-size-0", "even-kernels", "one-kernel",
          "repeated-direction", "three-directions", "string-for-list",
-         "string-for-directions"],
+         "string-for-directions", "stage-channels"],
 )
 def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
     path = tmp_path / "cfg.json"
@@ -338,6 +340,81 @@ def test_forward_rejects_bad_bank_params(fixture_dirs, micro_config, tmp_path, v
     assert "Traceback" not in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
     assert "stage0.lss0.hss0.bank" in r.stderr
+
+
+@pytest.fixture(scope="module")
+def saved_params(fixture_dirs, tmp_path_factory):
+    """Parameter directories saved by forward under the micro config and
+    under a deeper one; load tests copy and corrupt them."""
+    root = tmp_path_factory.mktemp("saved")
+    deep = {**_MICRO_CONFIG, "stage_depths": [2, 2, 2, 2], "hss_per_stage": [2, 1, 1, 1]}
+    for name, config in (("micro", _MICRO_CONFIG), ("deep", deep)):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(config))
+        r = _run(["forward", *_pyramid_args(fixture_dirs / "a0"), "--config", str(path),
+                  "--save-params", str(root / name), "--out-map", str(root / f"{name}.mbt")])
+        assert r.returncode == 0, r.stderr
+    return root
+
+
+def _load_params_exits_two(fixture_dirs, tmp_path, params_dir, config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_map = tmp_path / "m.mbt"
+    r = _run(["forward", *_pyramid_args(fixture_dirs / "a0"), "--config", str(path),
+              "--params", str(params_dir), "--out-map", str(out_map)])
+    assert r.returncode == 2
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+    assert named in r.stderr
+    assert not out_map.exists()
+
+
+def _drop_entry(tensors):
+    del tensors["adapter1.bias"]
+
+
+def _add_entry(tensors):
+    tensors["extra.weight"] = dict(tensors["fuse.weight"])
+
+
+@pytest.mark.parametrize(
+    "saved, config, edit, named",
+    [
+        ("deep", {}, None, "stage0.lss0.hss1.bank.a is in the parameter manifest but not in"),
+        ("micro", {"state_size": 3}, None, "stage0.lss0.hss0.bank.a has shape"),
+        ("micro", {"local_kernels": [3, 9]}, None, "stage0.lss0.local5.dw_weight has shape"),
+        ("micro", {}, _drop_entry, "adapter1.bias is missing from the parameter manifest"),
+        ("micro", {}, _add_entry, "extra.weight is in the parameter manifest but not in"),
+    ],
+    ids=["fewer-modules", "state-size", "local-kernels", "missing-tensor", "extra-tensor"],
+)
+def test_forward_rejects_params_of_another_config(
+    fixture_dirs, saved_params, tmp_path, saved, config, edit, named
+):
+    params_dir = tmp_path / "params"
+    shutil.copytree(saved_params / saved, params_dir)
+    if edit is not None:
+        manifest = json.loads((params_dir / "manifest.json").read_text())
+        edit(manifest["tensors"])
+        (params_dir / "manifest.json").write_text(json.dumps(manifest))
+    _load_params_exits_two(fixture_dirs, tmp_path, params_dir, {**_MICRO_CONFIG, **config}, named)
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ([], "unrecognised parameter manifest"),
+        ({"format": "mbt-dir/1", "tensors": []}, "must map tensor names to entries"),
+        ({"format": "mbt-dir/1", "tensors": {"fuse.weight": 5}},
+         "fuse.weight: manifest entry must hold a file name and a shape list"),
+    ],
+    ids=["array", "tensors-array", "entry-int"],
+)
+def test_forward_rejects_malformed_params_manifest(fixture_dirs, tmp_path, manifest, named):
+    params_dir = tmp_path / "params"
+    params_dir.mkdir()
+    (params_dir / "manifest.json").write_text(json.dumps(manifest))
+    _load_params_exits_two(fixture_dirs, tmp_path, params_dir, _MICRO_CONFIG, named)
 
 
 def test_forward_missing_pyramid_file(tmp_path):
@@ -574,6 +651,7 @@ def _fuzz_main(capsys, argv):
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert code == 0 or len(err.strip().splitlines()) == 1, err
+    return code
 
 
 _FUZZ = settings(max_examples=60, deadline=None,
@@ -631,6 +709,61 @@ def test_forward_fuzzed_config_exits_cleanly(fixture_dirs, capsys, config):
     argv = ["forward", *_pyramid_args(fixture_dirs / "a0"), "--config", str(path),
             "--out-map", str(fixture_dirs / "fuzz_map.mbt")]
     _fuzz_main(capsys, argv)
+
+
+_DELETE = object()
+# a path into a saved manifest.json: the root, a top-level key, an entry
+# (two of the config's, one it lacks) or a field of one
+_MANIFEST_PATH = st.one_of(
+    st.just(()),
+    st.tuples(st.sampled_from(["format", "tensors"])),
+    st.tuples(st.just("tensors"), st.sampled_from(["fuse.weight", "stage0.lss0.hss0.bank.a",
+                                                   "bogus.weight"])),
+    st.tuples(st.just("tensors"), st.sampled_from(["fuse.weight", "adapter1.bias"]),
+              st.sampled_from(["file", "shape"])),
+)
+
+
+def _edit_json(doc, edits):
+    """Apply (path, value) edits to a JSON document; _DELETE removes the key,
+    or empties the document when the path is the root."""
+    for path, value in edits:
+        if not path:
+            doc = {} if value is _DELETE else value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value is _DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+@_FUZZ
+@given(edits=st.lists(
+    st.tuples(_MANIFEST_PATH, st.one_of(_JUNK, st.just(_DELETE), st.lists(st.integers(1, 8)))),
+    max_size=3,
+))
+@example(edits=[((), [])])
+@example(edits=[(("tensors",), [])])
+@example(edits=[(("tensors", "fuse.weight"), 5)])
+@example(edits=[(("tensors", "fuse.weight", "file"), "")])
+@example(edits=[(("tensors", "adapter1.bias", "shape"), [8])])
+def test_forward_fuzzed_params_manifest_exits_cleanly(
+    fixture_dirs, saved_params, micro_config, capsys, edits
+):
+    params_dir = fixture_dirs / "fuzz_params"
+    if not params_dir.exists():
+        shutil.copytree(saved_params / "micro", params_dir)
+    manifest = json.loads((saved_params / "micro" / "manifest.json").read_text())
+    (params_dir / "manifest.json").write_text(json.dumps(_edit_json(manifest, edits)))
+    argv = ["forward", *_pyramid_args(fixture_dirs / "a0"), "--config", str(micro_config),
+            "--params", str(params_dir), "--out-map", str(fixture_dirs / "fuzz_map.mbt")]
+    assert _fuzz_main(capsys, argv) in (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Pipeline assembly tests: fusion, decoder wiring, loss, anomaly scoring,
 and parameter serialization round-trips."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from ssmad.pipeline import (
     save_decoder_params,
 )
 from ssmad.scans import ScanDirection, ScanMethod
-from ssmad.tensor import Tensor
+from ssmad.tensor import Tensor, read_tensor_file
 
 
 def _pyramid(seed=0, channels=4, size=16, fill=None):
@@ -367,15 +369,39 @@ def test_param_save_load_roundtrip(tmp_path):
     assert map_a.scores.tobytes() == map_b.scores.tobytes()
 
 
+_CONV_B = ("weight", "bias", "norm_scale", "norm_shift")
+_HSS = ("ln_pre_scale", "ln_pre_shift", "in_weight", "in_bias", "gate_weight", "gate_bias",
+        "dw_weight", "dw_bias", "ln_post_scale", "ln_post_shift", "out_weight", "out_bias",
+        "bank.a", "bank.b", "bank.c", "bank.delta")
+
+
+def _expected_param_names(depths, hss_per_stage):
+    """The file format's tensor names, spelled out from its naming pattern."""
+    names = {f"{block}.{f}" for block in ("fuse", "adapter0", "adapter1") for f in _CONV_B}
+    for s, (depth, m) in enumerate(zip(depths, hss_per_stage)):
+        for j in range(depth):
+            module = f"stage{s}.lss{j}"
+            names |= {f"{module}.hss{i}.{f}" for i in range(m) for f in _HSS}
+            for branch in ("local5", "local7"):
+                names |= {f"{module}.{branch}.{part}.{f}" for part in ("pre", "post") for f in _CONV_B}
+                names |= {f"{module}.{branch}.dw_weight", f"{module}.{branch}.dw_bias"}
+            names |= {f"{module}.fuse_weight", f"{module}.fuse_bias"}
+    return names
+
+
 def test_param_directory_contents(tmp_path):
-    cfg = _micro_cfg()
+    # pins the file format: the names, one file per tensor named after it,
+    # and the shapes
+    cfg = _micro_cfg(stage_depths=(1, 2, 1, 1), hss_per_stage=(2, 1, 1, 1))
     params = init_decoder_params(cfg, (4, 8, 16))
     save_decoder_params(tmp_path, params)
-    assert (tmp_path / "manifest.json").exists()
-    import json
-
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["format"] == "mbt-dir/1"
-    assert len(manifest["tensors"]) > 0
-    for entry in manifest["tensors"].values():
-        assert (tmp_path / entry["file"]).exists()
+    tensors = manifest["tensors"]
+    assert set(tensors) == _expected_param_names((1, 2, 1, 1), (2, 1, 1, 1))
+    for name, entry in tensors.items():
+        assert entry["file"] == f"{name}.mbt"
+        assert read_tensor_file(tmp_path / entry["file"]).shape == tuple(entry["shape"])
+    assert sorted(os.listdir(tmp_path)) == sorted(["manifest.json", *(f"{n}.mbt" for n in tensors)])
+    assert tensors["stage1.lss1.hss0.bank.a"]["shape"] == [2, 32, 2]
+    assert tensors["stage3.lss0.local7.dw_weight"]["shape"] == [4, 7, 7]

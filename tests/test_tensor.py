@@ -276,3 +276,24 @@ def test_rng_uniform_bounds(seed, lo, hi):
     assert vals.shape == (64,)
     assert np.all(vals >= lo)
     assert np.all(vals < hi)
+
+
+def _scalar_uniform(r, n, lo, hi):
+    return np.array([lo + r.next_float() * (hi - lo) for _ in range(n)], dtype=np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_rng_uniform_matches_scalar_stream(seed):
+    # the vectorised draw is the scalar stream, byte for byte, and leaves the
+    # state where n next_u64 calls would; interleaved calls check continuity
+    vec, ref = Rng(seed), Rng(seed)
+    for n, lo, hi in [(0, 0.0, 1.0), (1, -1.0, 1.0), (17, np.log(1e-3), np.log(1e-1)),
+                      (4096, -0.25, 0.5)]:
+        assert vec.uniform(n, lo, hi).tobytes() == _scalar_uniform(ref, n, lo, hi).tobytes()
+        assert vec.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n, lo, hi", [(-1, 0.0, 1.0), (4, 1.0, 1.0), (4, 2.0, 1.0)])
+def test_rng_uniform_rejects_bad_arguments(n, lo, hi):
+    with pytest.raises(ValueError):
+        Rng(0).uniform(n, lo, hi)
