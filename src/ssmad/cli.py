@@ -412,6 +412,9 @@ def _evaluate_samples(samples, fpr_limit: float) -> MetricsReport:
 
 
 def cmd_eval(args) -> int:
+    # a usage error, so refused before any file is read
+    if not 0.0 < args.fpr_limit <= 1.0:
+        raise CliError(f"--fpr-limit must lie in (0, 1], got {args.fpr_limit}")
     samples = _load_manifest_samples(args.manifest)
     if args.per_category:
         categories = sorted({s[4] for s in samples})

@@ -20,13 +20,22 @@ across a threshold together.
 
 Image-level metrics take one score per image; pixel-level metrics pool
 every pixel of every map.  All accumulation is float64.
+
+Every threshold sweep reads integer cumulative counts at the end of each
+tie group of one descending sort.  A LabeledScores holds read-only arrays
+and sorts itself at most once, so auroc, average_precision and f1_max on
+the same scores share one sweep; evaluate sorts the pooled pixels once for
+those three and once inside aupro.  Ground-truth regions are labelled
+without a per-pixel loop: each foreground pixel takes the smallest flat
+index in its region by min-label propagation over 8-neighbour pairs with
+pointer jumping.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,16 +65,27 @@ class MetricPreconditionError(ValueError):
     """Input set cannot support the requested metric (e.g. single class)."""
 
 
+def _read_only(given, dtype) -> np.ndarray:
+    """``given`` as a contiguous read-only array.  A writeable caller array
+    is copied rather than frozen in place; one the caller already made
+    read-only is kept as it is."""
+    arr = np.ascontiguousarray(given, dtype=dtype)
+    if arr.flags.writeable and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class LabeledScores:
-    """Parallel vectors of scores and 0/1 labels."""
+    """Parallel read-only vectors of scores and 0/1 labels."""
 
     scores: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.scores, dtype=np.float64)
-        l = np.ascontiguousarray(self.labels, dtype=np.int64)
+        s = _read_only(self.scores, np.float64)
+        l = _read_only(self.labels, np.int64)
         if s.ndim != 1 or l.ndim != 1 or s.size != l.size or s.size < 1:
             raise ValueError("scores and labels must be equal-length vectors")
         if not np.isfinite(s).all():
@@ -74,6 +94,17 @@ class LabeledScores:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "labels", l)
+
+    @cached_property
+    def _tie_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative TP/FP after each descending unique-score group.  The
+        arrays it is computed from cannot change, so the one sweep serves
+        every metric of these scores."""
+        order, ends = _tie_groups(self.scores)
+        tp = np.cumsum(self.labels[order])[ends].astype(np.float64)
+        fp = (ends + 1) - tp
+        tp.flags.writeable = fp.flags.writeable = False
+        return tp, fp
 
     @property
     def positives(self) -> int:
@@ -172,20 +203,16 @@ class MetricsReport:
 
 
 def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending stable sort order and the last sorted index of each tie group."""
-    order = np.argsort(-scores, kind="stable")
+    """Descending sort order and the last sorted index of each tie group.
+
+    The sort need not be stable: every caller reads integer cumulative counts
+    at tie-group ends only, and the count at the end of a group is the same
+    whatever order the group's members were sorted in."""
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
     boundary = np.nonzero(np.diff(sorted_scores))[0]
     ends = np.concatenate([boundary, [sorted_scores.size - 1]])
     return order, ends
-
-
-def _tie_grouped_counts(ls: LabeledScores):
-    """Cumulative TP/FP after each descending unique-score group."""
-    order, ends = _tie_groups(ls.scores)
-    tp = np.cumsum(ls.labels[order])[ends].astype(np.float64)
-    fp = (ends + 1) - tp
-    return tp, fp
 
 
 def auroc(ls: LabeledScores) -> float:
@@ -193,7 +220,7 @@ def auroc(ls: LabeledScores) -> float:
     pos, neg = ls.positives, ls.negatives
     if pos == 0 or neg == 0:
         raise MetricPreconditionError("auroc needs both classes present")
-    tp, fp = _tie_grouped_counts(ls)
+    tp, fp = ls._tie_counts
     tpr = np.concatenate([[0.0], tp / pos])
     fpr = np.concatenate([[0.0], fp / neg])
     return float(_trapezoid(tpr, fpr))
@@ -203,7 +230,7 @@ def average_precision(ls: LabeledScores) -> float:
     pos = ls.positives
     if pos == 0:
         raise MetricPreconditionError("average precision needs a positive")
-    tp, fp = _tie_grouped_counts(ls)
+    tp, fp = ls._tie_counts
     recall = tp / pos
     precision = tp / (tp + fp)
     prev = np.concatenate([[0.0], recall[:-1]])
@@ -214,7 +241,7 @@ def f1_max(ls: LabeledScores) -> float:
     pos = ls.positives
     if pos == 0:
         raise MetricPreconditionError("f1_max needs a positive")
-    tp, fp = _tie_grouped_counts(ls)
+    tp, fp = ls._tie_counts
     f1 = 2.0 * tp / (tp + fp + pos)
     return float(f1.max())
 
@@ -223,33 +250,48 @@ def f1_max(ls: LabeledScores) -> float:
 # regions
 
 
-_NEIGHBOURS = tuple(
-    (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
-)
-
-
 def connected_components(mask: BinaryMask) -> RegionSet:
-    """8-connectivity flood fill; regions keep sorted flat indices."""
+    """8-connected regions in raster order of their first pixel; each region
+    holds its sorted flat indices.
+
+    Foreground pixels are numbered in raster order and each starts as its
+    own label.  Every round hooks the labels at both ends of each
+    8-neighbour pair to the smaller of the two, then jumps pointers
+    (``lab = lab[lab]``) until nothing changes.  When every pair agrees, each
+    pixel carries the smallest number, hence the first pixel, of its region.
+    """
     h, w = mask.height, mask.width
-    bits = mask.bits
-    seen = np.zeros((h, w), dtype=bool)
-    regions = []
-    for r0 in range(h):
-        for c0 in range(w):
-            if not bits[r0, c0] or seen[r0, c0]:
-                continue
-            queue = deque([(r0, c0)])
-            seen[r0, c0] = True
-            cells = []
-            while queue:
-                r, c = queue.popleft()
-                cells.append(r * w + c)
-                for dr, dc in _NEIGHBOURS:
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w and bits[rr, cc] and not seen[rr, cc]:
-                        seen[rr, cc] = True
-                        queue.append((rr, cc))
-            regions.append(np.array(sorted(cells), dtype=np.int64))
+    flat = np.flatnonzero(mask.bits)
+    ids = np.full((h, w), -1, dtype=np.int64)
+    ids.flat[flat] = np.arange(flat.size)
+    # each 8-neighbour pair once: right, down-left, down, down-right
+    ends_a, ends_b = [], []
+    for a, b in (
+        (ids[:, :-1], ids[:, 1:]),
+        (ids[:-1, 1:], ids[1:, :-1]),
+        (ids[:-1, :], ids[1:, :]),
+        (ids[:-1, :-1], ids[1:, 1:]),
+    ):
+        both = (a >= 0) & (b >= 0)
+        ends_a.append(a[both])
+        ends_b.append(b[both])
+    u, v = np.concatenate(ends_a), np.concatenate(ends_b)
+    lab = np.arange(flat.size)
+    while True:
+        lu, lv = lab[u], lab[v]
+        if np.array_equal(lu, lv):
+            break
+        low = np.minimum(lu, lv)
+        np.minimum.at(lab, lu, low)
+        np.minimum.at(lab, lv, low)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+    order = np.argsort(lab, kind="stable")
+    starts = np.flatnonzero(np.diff(lab[order])) + 1
+    regions = np.split(flat[order], starts) if flat.size else []
     return RegionSet(height=h, width=w, regions=tuple(regions))
 
 
@@ -337,22 +379,17 @@ def evaluate(
     """Full protocol: image metrics, pooled pixel metrics, region overlap."""
     if len(maps) != len(masks) or not maps:
         raise MetricPreconditionError("need equally many maps and masks")
-    pixel_scores = []
-    pixel_labels = []
     for t, m in zip(maps, masks):
         if t.ndim != 2 or t.shape != (m.height, m.width):
             raise ValueError(f"map shape {t.shape} != mask {m.height}x{m.width}")
-        pixel_scores.append(t.array.reshape(-1).astype(np.float64))
-        pixel_labels.append(m.bits.reshape(-1).astype(np.int64))
-    pixels = LabeledScores(
-        scores=np.concatenate(pixel_scores), labels=np.concatenate(pixel_labels)
-    )
-    return MetricsReport(
-        image_auroc=auroc(image_scores),
-        image_ap=average_precision(image_scores),
-        image_f1_max=f1_max(image_scores),
-        pixel_auroc=auroc(pixels),
-        pixel_ap=average_precision(pixels),
-        pixel_f1_max=f1_max(pixels),
-        pixel_aupro=aupro(maps, masks, fpr_limit=fpr_limit),
-    )
+    scores = np.concatenate([t.array.reshape(-1) for t in maps], dtype=np.float64)
+    labels = np.concatenate([m.bits.reshape(-1) for m in masks], dtype=np.int64)
+    # fresh arrays nobody else holds: freezing them spares LabeledScores a copy
+    scores.flags.writeable = labels.flags.writeable = False
+    pixels = LabeledScores(scores=scores, labels=labels)
+    del scores, labels
+    image = (auroc(image_scores), average_precision(image_scores), f1_max(image_scores))
+    pixel = (auroc(pixels), average_precision(pixels), f1_max(pixels))
+    # aupro sorts the pooled scores again; release these and their sweep first
+    del pixels
+    return MetricsReport(*image, *pixel, aupro(maps, masks, fpr_limit=fpr_limit))

@@ -45,7 +45,14 @@ from .blocks import (
     lss_forward,
 )
 from .scans import ScanDirection, ScanMethod
-from .tensor import Rng, Tensor, bilinear_resize, read_tensor_file, write_tensor_file
+from .tensor import (
+    MbtError,
+    Rng,
+    Tensor,
+    bilinear_resize,
+    read_tensor_file,
+    write_tensor_file,
+)
 
 __all__ = [
     "FeaturePyramid",
@@ -429,8 +436,8 @@ def load_decoder_params(
     pyramid channels.  Each tensor of ``init_decoder_params(cfg,
     pyramid_channels)`` is replaced by the saved one of its name, which must
     have its shape and be finite; the manifest may name no other tensor.  A
-    malformed manifest, a missing, extra, misshapen or non-finite tensor, or
-    an unstable bank raises ValueError naming it."""
+    malformed manifest, a missing, extra, unreadable, misshapen or non-finite
+    tensor, or an unstable bank raises ValueError naming it."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("format") != "mbt-dir/1":
@@ -450,7 +457,10 @@ def load_decoder_params(
             and isinstance(entry.get("shape"), list)
         ):
             raise ValueError(f"{name}: manifest entry must hold a file name and a shape list")
-        t = read_tensor_file(os.path.join(directory, entry["file"]))
+        try:
+            t = read_tensor_file(os.path.join(directory, entry["file"]))
+        except (MbtError, OSError) as exc:
+            raise ValueError(f"{name}: cannot read {entry['file']}: {exc}") from None
         if list(t.shape) != entry["shape"]:
             raise ValueError(f"shape mismatch for {name}")
         if t.shape != want.shape:

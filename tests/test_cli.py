@@ -400,6 +400,24 @@ def test_forward_rejects_params_of_another_config(
     _load_params_exits_two(fixture_dirs, tmp_path, params_dir, {**_MICRO_CONFIG, **config}, named)
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _clobber_magic(path):
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _clobber_magic],
+                         ids=["truncated-tensor", "bad-magic"])
+def test_forward_names_unreadable_params_tensor(fixture_dirs, saved_params, tmp_path, corrupt):
+    params_dir = tmp_path / "params"
+    shutil.copytree(saved_params / "micro", params_dir)
+    corrupt(params_dir / "stage0.lss0.hss0.in_weight.mbt")
+    _load_params_exits_two(fixture_dirs, tmp_path, params_dir, _MICRO_CONFIG,
+                           "stage0.lss0.hss0.in_weight")
+
+
 @pytest.mark.parametrize(
     "manifest, named",
     [
@@ -617,9 +635,13 @@ def test_bench_has_no_suite_option():
         (["ssm-check", "--instances", "0"], "--instances"),
         (["ssm-check", "--grad-instances", "0"], "--grad-instances"),
         (["ssm-check", "--instances", "0", "--grad-instances", "0"], "--instances"),
+        # the manifest does not exist: the limit is refused before any file is read
+        *[(["eval", "--manifest", "no-such-manifest.json", "--fpr-limit", v], "--fpr-limit")
+          for v in ("0", "1.5", "-1", "nan", "inf")],
     ],
     ids=["sizes-x", "sizes-0", "repeats-0", "max-len-0", "instances-0", "grad-instances-0",
-         "nothing-checked"],
+         "nothing-checked", "fpr-limit-0", "fpr-limit-1.5", "fpr-limit-neg", "fpr-limit-nan",
+         "fpr-limit-inf"],
 )
 def test_numeric_option_out_of_range_exits_two(args, named):
     r = _run(args)

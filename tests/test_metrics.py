@@ -1,23 +1,27 @@
-"""Metric tests built around three brute-force oracles:
+"""Metric tests built around four brute-force oracles:
 
 - `_pair_count_auroc`: P(score+ > score-) + half the ties, by enumeration.
 - `_enumerate_pr`: precision/recall/F1 at every threshold in the score set.
+- `_flood_fill_regions`: 8-connected regions by a breadth-first flood fill.
 - `_exhaustive_aupro`: the PRO/FPR curve computed one threshold at a time
   with nothing shared with the module implementation.
 """
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ssmad import metrics
 from ssmad.metrics import (
     DEFAULT_FPR_LIMIT,
     LabeledScores,
     MetricPreconditionError,
     MetricsReport,
+    RegionSet,
     aupro,
     auroc,
     average_precision,
@@ -74,36 +78,37 @@ def _oracle_f1max(scores, labels):
     return max(f1 for _, _, f1 in _enumerate_pr(scores, labels))
 
 
-def _regions_of(mask_bits):
-    """Flood fill with 8-connectivity, the slow obvious way."""
-    h, w = mask_bits.shape
-    seen = np.zeros_like(mask_bits, dtype=bool)
+def _flood_fill_regions(bits):
+    """Breadth-first flood fill with 8-connectivity, one pixel at a time;
+    regions in raster order of their first pixel, cells sorted."""
+    h, w = bits.shape
+    seen = np.zeros((h, w), dtype=bool)
     regions = []
     for r0 in range(h):
         for c0 in range(w):
-            if mask_bits[r0, c0] == 1 and not seen[r0, c0]:
-                stack = [(r0, c0)]
-                seen[r0, c0] = True
-                cells = []
-                while stack:
-                    r, c = stack.pop()
-                    cells.append(r * w + c)
-                    for dr in (-1, 0, 1):
-                        for dc in (-1, 0, 1):
-                            rr, cc = r + dr, c + dc
-                            if 0 <= rr < h and 0 <= cc < w:
-                                if mask_bits[rr, cc] == 1 and not seen[rr, cc]:
-                                    seen[rr, cc] = True
-                                    stack.append((rr, cc))
-                regions.append(sorted(cells))
-    return regions
+            if not bits[r0, c0] or seen[r0, c0]:
+                continue
+            queue = deque([(r0, c0)])
+            seen[r0, c0] = True
+            cells = []
+            while queue:
+                r, c = queue.popleft()
+                cells.append(r * w + c)
+                for dr in (-1, 0, 1):
+                    for dc in (-1, 0, 1):
+                        rr, cc = r + dr, c + dc
+                        if 0 <= rr < h and 0 <= cc < w and bits[rr, cc] and not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            queue.append((rr, cc))
+            regions.append(np.array(sorted(cells), dtype=np.int64))
+    return RegionSet(height=h, width=w, regions=tuple(regions))
 
 
 def _exhaustive_aupro(maps, masks, fpr_limit):
     all_regions = []       # (map_index, set of flat cells)
     for idx, m in enumerate(masks):
-        for cells in _regions_of(m):
-            all_regions.append((idx, set(cells)))
+        for cells in _flood_fill_regions(m).regions:
+            all_regions.append((idx, set(cells.tolist())))
     pooled = np.concatenate([t.reshape(-1) for t in maps])
     neg_total = sum(int((m == 0).sum()) for m in masks)
 
@@ -257,6 +262,82 @@ def test_f1_matches_enumeration(seed):
     assert abs(got - want) <= 1e-12
 
 
+# ----------------------------------------------------------- shared sweep
+
+
+def _count_tie_groups(monkeypatch):
+    """Replace metrics._tie_groups by a wrapper recording each sort's size."""
+    calls = []
+    real = metrics._tie_groups
+
+    def counting(scores):
+        calls.append(scores.size)
+        return real(scores)
+
+    monkeypatch.setattr(metrics, "_tie_groups", counting)
+    return calls
+
+
+def _stable_tie_groups(scores):
+    """The tie-group helper with a stable sort, as the reference."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    boundary = np.nonzero(np.diff(sorted_scores))[0]
+    return order, np.concatenate([boundary, [sorted_scores.size - 1]])
+
+
+def _tie_heavy_inputs(seed):
+    """Fresh evaluate inputs whose scores take at most five levels."""
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(1, 6))
+    maps, masks = [], []
+    for _ in range(4):
+        h, w = (int(v) for v in rng.integers(6, 24, 2))
+        bits = (rng.random((h, w)) < 0.3).astype(np.uint8)
+        bits[0, 0], bits[-1, -1] = 1, 0
+        maps.append(Tensor((rng.integers(0, levels, (h, w)) / 4).astype(np.float32)))
+        masks.append(BinaryMask(bits))
+    image = LabeledScores(rng.integers(0, levels, 4) / 4, [1, 0, 1, 0])
+    return image, maps, masks
+
+
+def test_metrics_of_one_score_set_share_one_sweep(monkeypatch):
+    calls = _count_tie_groups(monkeypatch)
+    scores, labels = _random_labeled(np.random.default_rng(5), 200, tie_prob=1.0)
+    ls = LabeledScores(scores, labels)
+    auroc(ls), average_precision(ls), f1_max(ls), auroc(ls)
+    assert calls == [200]
+
+
+def test_evaluate_sorts_each_score_set_once(monkeypatch):
+    image, maps, masks = _tie_heavy_inputs(0)
+    calls = _count_tie_groups(monkeypatch)
+    evaluate(image, maps, masks)
+    pixels = sum(t.array.size for t in maps)
+    # image metrics, pooled pixel metrics, aupro
+    assert calls == [4, pixels, pixels]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_evaluate_tie_order_free_matches_stable_sort(seed, monkeypatch):
+    got = evaluate(*_tie_heavy_inputs(seed))
+    monkeypatch.setattr(metrics, "_tie_groups", _stable_tie_groups)
+    want = evaluate(*_tie_heavy_inputs(seed))
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def test_labeled_scores_hold_read_only_copies():
+    scores, labels = np.array([0.1, 0.9, 0.4]), np.array([0, 1, 1])
+    ls = LabeledScores(scores, labels)
+    with pytest.raises(ValueError, match="read-only"):
+        ls.scores[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        ls.labels[0] = 1
+    # the caller's arrays stay writeable, and writing them leaves ls alone
+    scores[1], labels[1] = -1.0, 0
+    assert ls.scores[1] == 0.9 and ls.labels[1] == 1
+
+
 # ------------------------------------------------------------- components
 
 
@@ -278,14 +359,82 @@ def test_components_separated_rows():
     assert len(rs.regions) == 2
 
 
+def _assert_same_regions(bits):
+    """Whole-RegionSet equality with the flood fill: extents, region order,
+    and each region's sorted int64 flat indices."""
+    got = connected_components(BinaryMask(bits))
+    want = _flood_fill_regions(bits)
+    assert (got.height, got.width) == (want.height, want.width)
+    assert len(got.regions) == len(want.regions)
+    for g, w in zip(got.regions, want.regions):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+    return got
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_components_match_flood_fill(seed):
     rng = np.random.default_rng(seed + 3000)
-    bits = (rng.random((9, 9)) > 0.6).astype(np.uint8)
-    rs = connected_components(BinaryMask(bits))
-    got = sorted(sorted(r.tolist()) for r in rs.regions)
-    want = sorted(_regions_of(bits))
-    assert got == want
+    _assert_same_regions((rng.random((9, 9)) > 0.6).astype(np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    density=st.sampled_from([0.05, 0.3, 0.5, 0.6, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_components_property_match_flood_fill(h, w, density, seed):
+    rng = np.random.default_rng(seed)
+    _assert_same_regions((rng.random((h, w)) < density).astype(np.uint8))
+
+
+def _serpentine(n):
+    """One-pixel-wide path filling n x n: every even row, joined at
+    alternating ends through the odd row between them."""
+    bits = np.zeros((n, n), np.uint8)
+    bits[::2] = 1
+    for r in range(1, n - 1, 2):
+        bits[r, n - 1 if r % 4 == 1 else 0] = 1
+    return bits
+
+
+def _spiral(n):
+    """Square spiral walked inwards, arms one blank row or column apart."""
+    bits = np.zeros((n, n), np.uint8)
+    r, c, dr, dc = 0, 0, 0, 1
+    bits[r, c] = 1
+    inside = lambda y, x: 0 <= y < n and 0 <= x < n
+    while True:
+        for _ in range(2):  # straight on, else one turn to the right
+            nr, nc = r + dr, c + dc
+            ahead = inside(nr + dr, nc + dc) and bits[nr + dr, nc + dc]
+            if inside(nr, nc) and not bits[nr, nc] and not ahead:
+                r, c = nr, nc
+                bits[r, c] = 1
+                break
+            dr, dc = dc, -dr
+        else:
+            return bits
+
+
+_STRESS_MASKS = {
+    "serpentine-64": (_serpentine(64), 1),
+    "spiral-40": (_spiral(40), 1),
+    "checkerboard-64": ((np.indices((64, 64)).sum(axis=0) % 2 == 0).astype(np.uint8), 1),
+    "all-ones": (np.ones((33, 17), np.uint8), 1),
+    "all-zeros": (np.zeros((17, 33), np.uint8), 0),
+    "one-by-n": ((np.arange(50) % 7 < 3).astype(np.uint8).reshape(1, 50), 8),
+    "n-by-one": ((np.arange(50) % 7 < 3).astype(np.uint8).reshape(50, 1), 8),
+    "one-by-one": (np.ones((1, 1), np.uint8), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRESS_MASKS))
+def test_components_stress_shapes_match_flood_fill(name):
+    bits, count = _STRESS_MASKS[name]
+    assert len(_assert_same_regions(bits).regions) == count
 
 
 # ------------------------------------------------------------------ aupro
