@@ -32,6 +32,12 @@ blocks in parallel with two local branches
     ConvB_1x1 -> depthwise k x k -> ConvB_1x1     for k = 5 and k = 7,
 fused by a plain 1x1 convolution over the concatenation (3C -> C) plus a
 residual connection.
+
+Every convolution is a plain matmul.  A 1x1 layer (``pointwise_conv``, and
+``conv2d`` with k = 1) is one (out, in) @ (in, H*W) product.  For k > 1 the
+zero-padded taps are first copied into contiguous (C, k*k, H*W) columns;
+``dwconv2d`` multiplies each channel's k*k weights by its own columns and
+``conv2d`` multiplies (out, in*k*k) weights by all of them at once.
 """
 
 from __future__ import annotations
@@ -332,41 +338,67 @@ def instance_norm(
     return out.astype(np.float32)
 
 
-def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    """Zero-padded sliding k x k windows: (C, H, W) -> (C, H, W, k, k)."""
+def _columns(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-padded k x k taps laid out contiguously: (C, H, W) -> (C, k*k, H*W).
+
+    Row i*k + j of channel c holds tap (i, j) of every output position, so a
+    convolution is one matmul of the flattened kernel against these rows.
+    """
+    c, h, w = x.shape
     pad = k // 2
     padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    return np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    cols = np.empty((c, k * k, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i * k + j] = padded[:, i:i + h, j:j + w]
+    return cols.reshape(c, k * k, h * w)
+
+
+def _check_kernel(x: np.ndarray, weight: np.ndarray, ndim: int, channel_axis: int) -> int:
+    """Return k for a weight of ``ndim`` axes ending in an odd square k x k
+    whose ``channel_axis`` matches the channels of the (C, H, W) input."""
+    if (x.ndim != 3 or weight.ndim != ndim or weight.shape[-1] != weight.shape[-2]
+            or weight.shape[-1] % 2 == 0 or weight.shape[channel_axis] != x.shape[0]):
+        raise ValueError(
+            f"kernel {weight.shape} must be odd and square with {x.shape[0]} "
+            f"input channels to convolve input {x.shape}"
+        )
+    return weight.shape[-1]
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padding stride-1 convolution, weight (out, in, k, k)."""
-    win = _windows(x, weight.shape[2])
-    out = np.einsum("oikl,ihwkl->ohw", weight, win, optimize=True)
-    return (out + bias[:, None, None]).astype(np.float32)
+    """Same-padding stride-1 convolution, weight (out, in, k, k); k = 1 is
+    ``pointwise_conv``, larger k one matmul over the tap columns."""
+    k = _check_kernel(x, weight, 4, 1)
+    out_ch, in_ch = weight.shape[:2]
+    if k == 1:
+        return pointwise_conv(x, weight.reshape(out_ch, in_ch), bias)
+    _, h, w = x.shape
+    cols = _columns(x, k).reshape(in_ch * k * k, h * w)
+    out = weight.reshape(out_ch, in_ch * k * k) @ cols + bias[:, None]
+    return out.reshape(out_ch, h, w).astype(np.float32, copy=False)
 
 
 def dwconv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Depthwise same-padding convolution, weight (C, k, k)."""
-    if weight.shape[0] != x.shape[0]:
-        raise ValueError("depthwise weight channels must match the input")
-    win = _windows(x, weight.shape[1])
-    out = np.einsum("ckl,chwkl->chw", weight, win, optimize=True)
-    return (out + bias[:, None, None]).astype(np.float32)
+    """Depthwise same-padding convolution, weight (C, k, k): per channel, the
+    k*k weights times that channel's tap columns."""
+    k = _check_kernel(x, weight, 3, 0)
+    c, h, w = x.shape
+    out = weight.reshape(c, 1, k * k) @ _columns(x, k) + bias[:, None, None]
+    return out.reshape(c, h, w).astype(np.float32, copy=False)
 
 
 def pointwise_conv(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """1x1 convolution, weight (out, in)."""
-    out = np.einsum("oi,ihw->ohw", weight, x, optimize=True)
-    return (out + bias[:, None, None]).astype(np.float32)
+    """1x1 convolution, weight (out, in): one matmul over the flattened map."""
+    if x.ndim != 3 or weight.ndim != 2 or weight.shape[1] != x.shape[0]:
+        raise ValueError(f"pointwise weight {weight.shape} does not match input {x.shape}")
+    c, h, w = x.shape
+    out = weight @ x.reshape(c, h * w) + bias[:, None]
+    return out.reshape(-1, h, w).astype(np.float32, copy=False)
 
 
 def conv_block(x: np.ndarray, p: ConvBParams) -> np.ndarray:
     """SiLU(InstanceNorm(Conv2D(x)))."""
-    if x.shape[0] != p.in_channels:
-        raise ValueError(
-            f"conv block expects {p.in_channels} input channels, got {x.shape[0]}"
-        )
     return silu(instance_norm(conv2d(x, p.weight, p.bias), p.norm_scale, p.norm_shift))
 
 

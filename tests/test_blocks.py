@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ssmad import blocks
 from ssmad.blocks import (
     ALLOWED_DIRECTION_COUNTS,
     BlockConfig,
@@ -26,6 +29,7 @@ from ssmad.blocks import (
     pointwise_conv,
     silu,
 )
+from ssmad.pipeline import DecoderConfig, FeaturePyramid, init_decoder_params, pipeline_forward
 from ssmad.scans import ScanDirection, ScanMethod, make_schedule
 from ssmad.ssm import ssm_bank_scan, zoh
 from ssmad.tensor import Rng, Tensor
@@ -67,6 +71,24 @@ def _naive_dwconv2d(x, weight, bias):
                             acc += float(weight[c0, dr, dc]) * float(x[c0, rr, cc])
                 out[c0, r, c] = acc
     return out
+
+
+def _einsum_dwconv2d(x, weight, bias):
+    """The einsum-over-sliding-windows depthwise convolution that
+    ``dwconv2d`` replaced; the decoder's maps were built from it."""
+    k = weight.shape[1]
+    pad = k // 2
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    out = np.einsum("ckl,chwkl->chw", weight, win, optimize=True)
+    return (out + bias[:, None, None]).astype(np.float32)
+
+
+def _float32_sum_bound(terms, scale):
+    """Worst-case error of float32 sums of ``terms`` products plus a bias,
+    rounded to float32, in any order: (terms + 2) unit roundoffs times
+    the sum of absolute values ``scale``."""
+    return (terms + 2) * np.finfo(np.float32).eps / 2 * scale
 
 
 def _micro_config(**kw):
@@ -159,6 +181,118 @@ def test_pointwise_conv_is_matrix_product():
     want = np.einsum("oi,ihw->ohw", w.astype(np.float64), x.astype(np.float64))
     want += b.astype(np.float64)[:, None, None]
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5, 7]),
+    c=st.integers(1, 6),
+    out=st.integers(1, 6),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=7, c=2, out=3, h=3, w=12, seed=0)  # kernel taller than the map
+@example(k=5, c=3, out=2, h=1, w=9, seed=1)   # 1 x N
+@example(k=3, c=4, out=1, h=10, w=1, seed=2)  # N x 1
+@example(k=7, c=6, out=6, h=1, w=1, seed=3)   # every tap but the centre padded
+def test_convs_match_naive_oracles(k, c, out, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c, h, w)).astype(np.float32)
+    weight = rng.standard_normal((out, c, k, k)).astype(np.float32)
+    bias = rng.standard_normal(out).astype(np.float32)
+    dw_weight = rng.standard_normal((c, k, k)).astype(np.float32)
+    dw_bias = rng.standard_normal(c).astype(np.float32)
+    pw_weight = rng.standard_normal((out, c)).astype(np.float32)
+    ax = np.abs(x)
+
+    got = conv2d(x, weight, bias)
+    assert got.dtype == np.float32 and got.shape == (out, h, w)
+    bound = _float32_sum_bound(c * k * k, _naive_conv2d(ax, np.abs(weight), np.abs(bias)))
+    assert (np.abs(got - _naive_conv2d(x, weight, bias)) <= bound).all()
+
+    got = dwconv2d(x, dw_weight, dw_bias)
+    assert got.dtype == np.float32 and got.shape == (c, h, w)
+    bound = _float32_sum_bound(k * k, _naive_dwconv2d(ax, np.abs(dw_weight), np.abs(dw_bias)))
+    assert (np.abs(got - _naive_dwconv2d(x, dw_weight, dw_bias)) <= bound).all()
+
+    # a 1x1 conv2d is pointwise_conv, byte for byte
+    got = pointwise_conv(x, pw_weight, bias)
+    assert got.tobytes() == conv2d(x, pw_weight[:, :, None, None], bias).tobytes()
+    bound = _float32_sum_bound(c, _naive_conv2d(ax, np.abs(pw_weight)[:, :, None, None], np.abs(bias)))
+    assert (np.abs(got - _naive_conv2d(x, pw_weight[:, :, None, None], bias)) <= bound).all()
+
+
+@pytest.mark.parametrize(
+    "conv, x_shape, w_shape",
+    [
+        (conv2d, (3, 5, 5), (2, 3, 2, 2)),
+        (conv2d, (3, 5, 5), (2, 3, 3, 5)),
+        (conv2d, (3, 5, 5), (2, 4, 3, 3)),
+        (dwconv2d, (3, 5, 5), (3, 2, 2)),
+        (dwconv2d, (3, 5, 5), (3, 3, 5)),
+        (dwconv2d, (3, 5, 5), (4, 3, 3)),
+        (pointwise_conv, (3, 5, 5), (2, 4)),
+    ],
+    ids=[
+        "conv2d-even", "conv2d-non-square", "conv2d-channels",
+        "dwconv2d-even", "dwconv2d-non-square", "dwconv2d-channels",
+        "pointwise-channels",
+    ],
+)
+def test_convs_reject_bad_kernels(conv, x_shape, w_shape):
+    x = np.zeros(x_shape, np.float32)
+    with pytest.raises(ValueError) as info:
+        conv(x, np.zeros(w_shape, np.float32), np.zeros(w_shape[0], np.float32))
+    msg = str(info.value)
+    assert "\n" not in msg and str(x_shape) in msg and str(w_shape) in msg
+
+
+@pytest.mark.parametrize(
+    "c, h, w, k", [(16, 32, 32, 3), (8, 32, 32, 5), (8, 32, 32, 7), (3, 5, 9, 7), (2, 1, 6, 5)]
+)
+def test_dwconv2d_within_bound_of_einsum_oracle(c, h, w, k):
+    rng = np.random.default_rng(c * 1000 + h * 10 + k)
+    x = rng.standard_normal((c, h, w)).astype(np.float32)
+    weight = rng.uniform(-1 / k, 1 / k, (c, k, k)).astype(np.float32)
+    bias = rng.standard_normal(c).astype(np.float32)
+    got = dwconv2d(x, weight, bias).astype(np.float64)
+    want = _einsum_dwconv2d(x, weight, bias).astype(np.float64)
+    scale = _naive_dwconv2d(np.abs(x), np.abs(weight), np.abs(bias))
+    assert (np.abs(got - want) <= 1e-6 * scale).all()
+
+
+def _rect_pyramid(seed, channels, h, w):
+    rng = np.random.default_rng(seed)
+    return FeaturePyramid(tuple(
+        Tensor(rng.uniform(0.2, 1.0, (channels * 2**i, h // 2**i, w // 2**i)).astype(np.float32))
+        for i in range(3)
+    ))
+
+
+@pytest.mark.parametrize(
+    "method, directions, h, w",
+    [
+        (ScanMethod.HILBERT, tuple(ScanDirection), 16, 16),
+        (ScanMethod.SWEEP, (ScanDirection.FORWARD, ScanDirection.REVERSE,
+                            ScanDirection.WH_FORWARD, ScanDirection.WH_REVERSE), 8, 16),
+    ],
+    ids=["hilbert-8dir", "sweep-non-square"],
+)
+def test_pipeline_within_bound_of_einsum_dwconv(monkeypatch, method, directions, h, w):
+    # the decoder's bytes moved only through dwconv2d; running it again on
+    # the old depthwise form bounds how far map, loss and image score moved
+    cfg = DecoderConfig(stage_depths=(1, 1, 1, 1), hss_per_stage=(1, 1, 1, 1),
+                        scan_method=method, directions=directions, state_size=2, seed=5)
+    pyr = _rect_pyramid(6, 2, h, w)
+    params = init_decoder_params(cfg, pyr.channels)
+    loss, amap = pipeline_forward(pyr, cfg, params)
+    monkeypatch.setattr(blocks, "dwconv2d", _einsum_dwconv2d)
+    old_loss, old_map = pipeline_forward(pyr, cfg, params)
+    tol = 1e-5 * np.abs(old_map.scores).max()
+    assert np.abs(amap.scores.astype(np.float64) - old_map.scores).max() <= tol
+    assert abs(loss - old_loss) <= 1e-5 * abs(old_loss)
+    assert abs(amap.image_score - old_map.image_score) <= 1e-5 * abs(old_map.image_score)
 
 
 def test_conv_block_constant_input_zeroes_out():
