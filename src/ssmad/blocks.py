@@ -17,11 +17,16 @@ The hybrid-scan block (``hss_forward``) runs, from input G:
     out   = Linear_out(LN(scans) * SiLU(Linear_gate(u))) + G
 
 Each direction owns an independent bank of E*C single-channel SSMs.  The K
-directions are stacked into one bank of K*E*C channels: the sequence is
-gathered along every order into one (K*E*C, L) array, scanned by a single
-``ssm_bank_scan`` call, and each direction's slice is added back on the grid
-in the fixed direction order.  No threads are used, so every output byte
-depends only on the parameters and the input.
+directions are stacked into one bank of K*E*C channels: the K gathers
+(``np.take`` along every order) fill one float64 (K*E*C, L) buffer, which a
+single ``ssm_bank_scan`` call scans without a cast or padded copy, and each
+direction's slice is taken back onto the grid through one reused buffer and
+added in the fixed direction order.  No threads are used, so every output
+byte depends only on the parameters and the input.
+
+SiLU, layer norm and instance norm each update one float64 working array in
+place; the two norms centre the data once and give the bytes of ``np.mean``
+and ``np.var``.
 
 A bank's discretised a_bar, b_bar and c do not change along the sequence,
 so ``ssm_bank_scan`` (in ``ssm``) evaluates it in the chunked form of
@@ -42,6 +47,7 @@ zero-padded taps are first copied into contiguous (C, k*k, H*W) columns;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,35 +313,49 @@ class BlockConfig:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x) in one float64 working array, clipped at +-700 inside
+    the exp."""
+    t = np.negative(x, dtype=np.float64)
+    np.clip(t, -700.0, 700.0, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(x, t, out=t, dtype=np.float64)
+    return t.astype(np.float32)
+
+
+def _normalise(
+    x: np.ndarray, axes: tuple[int, ...], scale: np.ndarray, shift: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps) * scale + shift over ``axes`` in one
+    float64 working array, scale and shift per channel (axis 0).
+
+    The data are centred once; mean and biased variance are sum / n, the
+    same bytes as ``np.mean`` and ``np.var``.
+    """
     z = x.astype(np.float64)
-    out = z / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
-    return out.astype(np.float32)
+    n = math.prod(x.shape[a] for a in axes)
+    z -= z.sum(axis=axes, keepdims=True) / n
+    var = np.square(z).sum(axis=axes, keepdims=True) / n
+    z /= np.sqrt(var + eps)
+    per_channel = (-1,) + (1,) * (x.ndim - 1)
+    z *= scale.reshape(per_channel)
+    z += shift.reshape(per_channel)
+    return z.astype(np.float32)
 
 
 def layer_norm(
     x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = LN_EPS
 ) -> np.ndarray:
     """Normalise over the channel axis at each spatial position."""
-    z = x.astype(np.float64)
-    mean = z.mean(axis=0, keepdims=True)
-    var = z.var(axis=0, keepdims=True)
-    out = (z - mean) / np.sqrt(var + eps)
-    out = out * scale.astype(np.float64).reshape(-1, *([1] * (x.ndim - 1)))
-    out = out + shift.astype(np.float64).reshape(-1, *([1] * (x.ndim - 1)))
-    return out.astype(np.float32)
+    return _normalise(x, (0,), scale, shift, eps)
 
 
 def instance_norm(
     x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = IN_EPS
 ) -> np.ndarray:
     """Normalise each channel over its spatial extent (biased variance)."""
-    z = x.astype(np.float64)
-    mean = z.mean(axis=(1, 2), keepdims=True)
-    var = z.var(axis=(1, 2), keepdims=True)
-    out = (z - mean) / np.sqrt(var + eps)
-    out = out * scale.astype(np.float64)[:, None, None]
-    out = out + shift.astype(np.float64)[:, None, None]
-    return out.astype(np.float32)
+    return _normalise(x, (1, 2), scale, shift, eps)
 
 
 def _columns(x: np.ndarray, k: int) -> np.ndarray:
@@ -346,7 +366,8 @@ def _columns(x: np.ndarray, k: int) -> np.ndarray:
     """
     c, h, w = x.shape
     pad = k // 2
-    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = x
     cols = np.empty((c, k * k, h, w), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
@@ -420,13 +441,16 @@ def hss_forward(g: Tensor, p: HssParams, workers: int = 1) -> Tensor:
     main = pointwise_conv(u, p.in_weight, p.in_bias)
     main = silu(dwconv2d(main, p.dw_weight, p.dw_bias))
     inner = p.inner_channels
-    main_flat = main.reshape(inner, h * w)
+    main64 = main.reshape(inner, h * w).astype(np.float64)
 
     # row k * inner + c of the stacked bank and sequence is channel c of
-    # direction k
+    # direction k; every order is a permutation of range(h * w), so "clip"
+    # never clips and lets np.take write straight into its out
     rows = len(p.directions) * inner
     scheds = [make_schedule(p.method, d, h, w) for d in p.directions]
-    seq = np.concatenate([main_flat[:, s.order] for s in scheds])
+    seq = np.empty((rows, h * w), dtype=np.float64)
+    for k, s in enumerate(scheds):
+        np.take(main64, s.order, axis=1, out=seq[k * inner:(k + 1) * inner], mode="clip")
     y = ssm_bank_scan(
         p.bank.a.reshape(rows, -1),
         p.bank.b.reshape(rows, -1),
@@ -435,8 +459,10 @@ def hss_forward(g: Tensor, p: HssParams, workers: int = 1) -> Tensor:
         seq,
     )
     acc = np.zeros((inner, h * w), dtype=np.float64)
+    part = main64  # the gathers are done; its buffer takes each direction
     for k, s in enumerate(scheds):  # fixed summation order
-        acc += y[k * inner:(k + 1) * inner, s.inverse]
+        np.take(y[k * inner:(k + 1) * inner], s.inverse, axis=1, out=part, mode="clip")
+        acc += part
     scans = acc.astype(np.float32).reshape(inner, h, w)
 
     normed = layer_norm(scans, p.ln_post_scale, p.ln_post_shift)

@@ -311,7 +311,9 @@ def aupro(
     trapezoid integral stops at fpr_limit (interpolating the final segment).
     The overlap summed over regions is, per distinct region size s, the exact
     hit count in size-s regions divided by s: it never exceeds the region
-    count, and a full sweep reaches it exactly.
+    count, and a full sweep reaches it exactly.  The per-size sums stop at
+    the tie group that crosses fpr_limit; at fpr_limit = 1 they run over
+    every pooled pixel.
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricPreconditionError("fpr_limit must lie in (0, 1]")
@@ -340,14 +342,18 @@ def aupro(
 
     order, ends = _tie_groups(np.concatenate(scores))
     sorted_sizes = all_sizes[order]
-    overlap = np.zeros(ends.size)
-    for s in np.unique(region_sizes):
-        overlap += np.cumsum(sorted_sizes == s)[ends] / s
     fpr = np.concatenate([[0.0], np.cumsum(sorted_sizes == 0)[ends] / negatives])
+    # points at or below fpr_limit, then the crossing of the next segment:
+    # pro is read up to index inside, so the overlap sums stop at the
+    # tie-group end of that point
+    inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
+    kept = ends[:inside]
+    head = sorted_sizes[:kept[-1] + 1]
+    overlap = np.zeros(kept.size)
+    for s in np.unique(region_sizes):
+        overlap += np.cumsum(head == s)[kept] / s
     pro = np.concatenate([[0.0], overlap / len(region_sizes)])
 
-    # points at or below fpr_limit, then the crossing of the next segment
-    inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
     x, y = fpr[:inside], pro[:inside]
     if inside < fpr.size:
         seg = slice(inside - 1, inside + 1)

@@ -293,9 +293,9 @@ def _cosine_distance_map(e: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per-pixel 1 - cos(enc, dec) over channel vectors, with zero guards."""
     e64 = e.astype(np.float64)
     d64 = d.astype(np.float64)
-    dot = np.einsum("chw,chw->hw", e64, d64)
-    ne = np.sqrt(np.einsum("chw,chw->hw", e64, e64))
-    nd = np.sqrt(np.einsum("chw,chw->hw", d64, d64))
+    dot = (e64 * d64).sum(axis=0)
+    ne = np.sqrt((e64 * e64).sum(axis=0))
+    nd = np.sqrt((d64 * d64).sum(axis=0))
     ez = ne < ZERO_NORM_EPS
     dz = nd < ZERO_NORM_EPS
     denom = np.where(ez | dz, 1.0, ne * nd)

@@ -18,9 +18,16 @@ dual (Dao & Gu 2024).  The chunked form is one private core shared by
 independent single-channel systems, the decoder's scan): a lower-triangular
 Toeplitz matmul inside each chunk of SCAN_CHUNK steps, plus a prefix scan
 over a fixed balanced tree that carries the state across chunk boundaries.
-The chunk length is a constant rather than a function of the input or the
-machine, and no threads are used, so every output byte depends only on the
-parameters and the sequence.
+The powers a_bar^k, k = 0 .. SCAN_CHUNK, are laid out (SCAN_CHUNK+1, C, N),
+so their exp and the products built from them run over one long
+contiguous axis.  The transposed Toeplitz block M^T and the chunk-end
+weights W share one (C, T, T+N) buffer, and one batched matmul X [M^T | W]
+gives the in-chunk outputs and the chunk-end states together.  A float64
+sequence whose length is a multiple of SCAN_CHUNK (every decoder grid) is
+reshaped into chunks as it is; any other is first copied into a zero-padded
+float64 array.  The chunk length is a constant rather than a function of
+the input or the machine, and no threads are used, so every output byte
+depends only on the parameters and the sequence.
 
 ``selective_scan`` generalises the recurrence to per-step delta_t, b_t, c_t
 (input-dependent parameters); ``selective_scan_backward`` is its analytic
@@ -282,11 +289,13 @@ def _chunked_scan(
 ) -> np.ndarray:
     """C independent scans h_t = a_bar h_{t-1} + b_bar x_t, y_t = <c, h_t>.
 
-    powers: (C, T+1, N) with powers[:, k] = a_bar^k, T = SCAN_CHUNK;
+    powers: (T+1, C, N) with powers[k] = a_bar^k, T = SCAN_CHUNK;
     b_bar, c: (C, N); seq: (C, L).  Returns y (C, L) in float64.
 
-    The sequence is zero-padded to J chunks of T steps (the scan is causal,
-    so the padding cannot reach earlier outputs) and evaluated as
+    The sequence is cut into J chunks of T steps.  A float64 sequence whose
+    length is a multiple of T is reshaped as it is; any other is copied
+    into a zero-padded float64 array (the scan is causal, so the padding
+    cannot reach earlier outputs).  It is evaluated as
 
       within a chunk   Y = X M^T, M[c] lower-triangular Toeplitz with
                        M[c, i, j] = K[c, i - j], K[c, k] = <c, b_bar a_bar^k>
@@ -294,27 +303,50 @@ def _chunked_scan(
       carried state    H = fixed-tree prefix scan of h -> a_bar^T h + S over
                        the J chunks; chunk j adds H[j-1] Q with
                        Q[c, n, i] = c a_bar^(i+1)
+
+    M^T and W sit side by side in one (C, T, T+N) block, so a single
+    batched matmul X [M^T | W] gives Y and S together.  A one-chunk
+    sequence carries no state and is Y = X M^T alone.
     """
     chunk = SCAN_CHUNK
     channels, length = seq.shape
     n_chunks = -(-length // chunk)
-    x = np.zeros((channels, n_chunks * chunk), dtype=np.float64)
-    x[:, :length] = seq
-    x = x.reshape(channels, n_chunks, chunk)                     # (C, J, T)
+    if seq.dtype == np.float64 and length == n_chunks * chunk:
+        x = seq.reshape(channels, n_chunks, chunk)               # (C, J, T)
+    else:
+        x = np.zeros((channels, n_chunks * chunk), dtype=np.float64)
+        x[:, :length] = seq
+        x = x.reshape(channels, n_chunks, chunk)
 
-    # window i over [0]*(T-1) + K holds K[i-T+1 .. i]; reversed, it is row i
-    # of M
-    kernel = np.einsum("cn,ckn->ck", c * b_bar, powers[:, :chunk])
-    padded = np.concatenate([np.zeros((channels, chunk - 1)), kernel], axis=1)
-    toeplitz = sliding_window_view(padded, chunk, axis=1)[:, :, ::-1]  # (C, T, T)
-    y = x @ toeplitz.transpose(0, 2, 1)                          # (C, J, T)
+    # window j over [0]*(T-1) + K holds K[j-T+1 .. j]; the windows in
+    # reverse order are the rows of M^T
+    kernel = np.einsum("cn,kcn->ck", c * b_bar, powers[:chunk])  # (C, T)
+    padded = np.zeros((channels, 2 * chunk - 1), dtype=np.float64)
+    padded[:, chunk - 1:] = kernel
+    m_t = sliding_window_view(padded, chunk, axis=1)[:, ::-1]    # (C, T, T)
+    if n_chunks == 1:
+        # one chunk carries no state in or out; numpy multiplies one row by
+        # the strided view in its own loop, which short scans' bytes come from
+        return (x @ m_t).reshape(channels, chunk)[:, :length]
 
-    ends = x @ (b_bar[:, None, :] * powers[:, chunk - 1::-1])     # (C, J, N)
-    step = np.broadcast_to(powers[:, chunk], (n_chunks,) + b_bar.shape)
+    n = b_bar.shape[1]
+    fused = np.empty((channels, chunk, chunk + n), dtype=np.float64)
+    fused[:, :, :chunk] = m_t
+    np.multiply(powers[chunk - 1::-1].transpose(1, 0, 2), b_bar[:, None],
+                out=fused[:, :, chunk:])
+    out = x @ fused                                              # (C, J, T+N)
+    del fused  # the largest block; free it before the state pass
+    ends = out[:, :, chunk:]
+
+    step = np.broadcast_to(powers[chunk], (n_chunks,) + b_bar.shape)
     states = _affine_scan(step, np.moveaxis(ends, 1, 0))         # (J, C, N)
     carried = np.zeros_like(ends)
     carried[:, 1:] = np.moveaxis(states[:-1], 0, 1)
-    y += carried @ (c[:, :, None] * powers[:, 1:].transpose(0, 2, 1))
+    q = np.empty((channels, n, chunk), dtype=np.float64)
+    np.multiply(powers[1:].transpose(1, 2, 0), c[:, :, None], out=q)
+    # H Q into the one array returned, then the in-chunk outputs added
+    y = np.matmul(carried, q, out=np.empty((channels, n_chunks, chunk)))
+    y += out[:, :, :chunk]
     return y.reshape(channels, n_chunks * chunk)[:, :length]
 
 
@@ -322,7 +354,7 @@ def scan_parallel(d: SsmDiscrete, x) -> Tensor:
     """Chunked evaluation of the recurrence: the one-channel case of the
     core that ``ssm_bank_scan`` runs, with powers a_bar^k."""
     seq = _as_sequence(x)
-    powers = d.a_bar[None, None, :] ** np.arange(SCAN_CHUNK + 1.0)[None, :, None]
+    powers = d.a_bar ** np.arange(SCAN_CHUNK + 1.0)[:, None, None]
     y = _chunked_scan(powers, d.b_bar[None], d.c[None], seq[None])[0]
     return Tensor(y.astype(np.float32))
 
@@ -335,7 +367,8 @@ def ssm_bank_scan(
     a, b, c: (C, N); delta: (C,).  Returns y (C, L) in float64, where
     h_t = a_bar * h_{t-1} + b_bar * x_t and y_t = <c, h_t> per channel,
     a_bar and b_bar from ``zoh``.  The powers a_bar^k = exp(k * delta * a),
-    k = 0 .. SCAN_CHUNK, feed the chunked core (see ``_chunked_scan``).
+    k = 0 .. SCAN_CHUNK, are laid out (SCAN_CHUNK+1, C, N) for the chunked
+    core (see ``_chunked_scan``).
     """
     a64 = np.asarray(a, dtype=np.float64)
     d64 = np.asarray(delta, dtype=np.float64)
@@ -343,7 +376,8 @@ def ssm_bank_scan(
     z = d64[:, None] * a64
     # exp(k z) and a_bar ** k differ in the last bits; saved decoder maps
     # hold the bytes of exp(k z)
-    powers = np.exp(np.arange(SCAN_CHUNK + 1.0)[None, :, None] * z[:, None, :])
+    powers = np.arange(SCAN_CHUNK + 1.0)[:, None, None] * z
+    np.exp(powers, out=powers)
     return _chunked_scan(powers, b_bar, np.asarray(c, dtype=np.float64), seq)
 
 

@@ -136,6 +136,95 @@ def test_instance_norm_constant_channel_is_shift():
     np.testing.assert_allclose(out, 0.5, atol=1e-6)
 
 
+def _allocating_silu(x):
+    """silu as it was before its single working array: fresh float64
+    arrays for the clip, the exp and the quotient."""
+    z = x.astype(np.float64)
+    out = z / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
+    return out.astype(np.float32)
+
+
+def _mean_var_norm(x, scale, shift, eps, axis):
+    """layer_norm (axis 0) and instance_norm (axes 1, 2) as they were:
+    np.mean and np.var, which centres the data a second time."""
+    z = x.astype(np.float64)
+    mean = z.mean(axis=axis, keepdims=True)
+    var = z.var(axis=axis, keepdims=True)
+    out = (z - mean) / np.sqrt(var + eps)
+    per_channel = (-1,) + (1,) * (x.ndim - 1)
+    out = out * scale.astype(np.float64).reshape(per_channel)
+    out = out + shift.astype(np.float64).reshape(per_channel)
+    return out.astype(np.float32)
+
+
+def _np_pad_columns(x, k):
+    """The tap columns as they were, from an np.pad copy of the input."""
+    c, h, w = x.shape
+    pad = k // 2
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((c, k * k, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i * k + j] = padded[:, i:i + h, j:j + w]
+    return cols.reshape(c, k * k, h * w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 7, 5), (3, 1, 1), (1, 4, 9)])
+def test_silu_bytes_match_allocating_form(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = (rng.standard_normal(shape) * 30.0).astype(dtype)
+    # both clip edges, |x| past them, signed zeros and a denormal
+    edges = [-1e4, -701.0, -700.5, -700.0, -0.0, 0.0, 1e-310, 700.0, 700.5, 701.0, 1e4]
+    x.flat[:len(edges)] = np.array(edges[:x.size], dtype=dtype)
+    assert silu(x).tobytes() == _allocating_silu(x).tobytes()
+
+
+def _norm_cases():
+    rng = np.random.default_rng(31)
+    offset = 1e4 + rng.standard_normal((5, 6, 6))      # mean far from zero
+    constant = rng.standard_normal((4, 5, 5))
+    constant[1] = 3.25                                  # a zero-variance channel
+    # a few float32 steps around 1e4, variance below eps: centring the data
+    # a second time moves some output bytes here
+    near_constant = 1e4 * (1.0 + 3e-7 * rng.standard_normal((3, 11, 13)))
+    return {
+        "random": rng.standard_normal((8, 6, 5)),
+        "offset": offset,
+        "near-constant": near_constant,
+        "constant-channel": constant,
+        "one-channel": rng.standard_normal((1, 4, 4)),
+        "one-by-one": rng.standard_normal((6, 1, 1)),
+        "all-constant": np.full((3, 4, 4), -2.5),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_norm_cases()))
+def test_norms_bytes_match_mean_var_form(case):
+    x = _norm_cases()[case].astype(np.float32)
+    c = x.shape[0]
+    rng = np.random.default_rng(c)
+    scale = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    shift = rng.uniform(-1.0, 1.0, c).astype(np.float32)
+    got = layer_norm(x, scale, shift)
+    assert got.tobytes() == _mean_var_norm(x, scale, shift, blocks.LN_EPS, 0).tobytes()
+    flat = x.reshape(c, -1)  # layer_norm over a (C, L) sequence
+    assert (layer_norm(flat, scale, shift).tobytes()
+            == _mean_var_norm(flat, scale, shift, blocks.LN_EPS, 0).tobytes())
+    got = instance_norm(x, scale, shift)
+    assert got.tobytes() == _mean_var_norm(x, scale, shift, blocks.IN_EPS, (1, 2)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "k, shape", [(1, (3, 4, 5)), (3, (2, 8, 8)), (5, (3, 1, 9)), (7, (2, 3, 12)), (7, (4, 1, 1))]
+)
+def test_columns_bytes_match_np_pad_form(k, shape, dtype):
+    x = np.random.default_rng(k).standard_normal(shape).astype(dtype)
+    got = blocks._columns(x, k)
+    assert got.dtype == dtype and got.tobytes() == _np_pad_columns(x, k).tobytes()
+
+
 def test_conv2d_matches_naive():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 6, 5)).astype(np.float32)

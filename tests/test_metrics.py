@@ -567,6 +567,77 @@ def test_aupro_property_matches_exhaustive_oracle(case):
     assert 0.0 <= got <= 1.0
 
 
+def _full_sweep_aupro(maps, masks, fpr_limit):
+    """aupro as it was before its per-size sums stopped at the fpr_limit
+    crossing: every size sums over all pooled pixels.  Same arithmetic
+    otherwise, so the two must agree to the last bit."""
+    pixel_sizes, region_sizes, scores = [], [], []
+    for t, m in zip(maps, masks):
+        sizes = np.zeros(m.height * m.width, dtype=np.int64)
+        for region in connected_components(m).regions:
+            sizes[region] = region.size
+            region_sizes.append(region.size)
+        pixel_sizes.append(sizes)
+        scores.append(t.array.reshape(-1).astype(np.float64))
+    all_sizes = np.concatenate(pixel_sizes)
+    negatives = int((all_sizes == 0).sum())
+    order, ends = metrics._tie_groups(np.concatenate(scores))
+    sorted_sizes = all_sizes[order]
+    overlap = np.zeros(ends.size)
+    for s in np.unique(region_sizes):
+        overlap += np.cumsum(sorted_sizes == s)[ends] / s
+    fpr = np.concatenate([[0.0], np.cumsum(sorted_sizes == 0)[ends] / negatives])
+    pro = np.concatenate([[0.0], overlap / len(region_sizes)])
+    inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
+    x, y = fpr[:inside], pro[:inside]
+    if inside < fpr.size:
+        seg = slice(inside - 1, inside + 1)
+        x = np.append(x, fpr_limit)
+        y = np.append(y, np.interp(fpr_limit, fpr[seg], pro[seg]))
+    return float(metrics._trapezoid(y, x)) / fpr_limit
+
+
+def _many_sized_regions(seed, n_maps=4, size=32):
+    """Maps holding rectangles of many distinct areas (1 to about 40 pixels,
+    separated by one normal row or column) and scores with some ties."""
+    rng = np.random.default_rng(seed)
+    maps, masks = [], []
+    for _ in range(n_maps):
+        bits = np.zeros((size, size), np.uint8)
+        r = 0
+        while r < size - 1:
+            tall = int(rng.integers(1, 5))
+            c = 0
+            while c < size - 1:
+                wide = int(rng.integers(1, 11))
+                bits[r:r + tall, c:c + wide] = 1
+                c += wide + 1 + int(rng.integers(0, 4))
+            r += tall + 1 + int(rng.integers(0, 3))
+        score = bits + rng.normal(0.0, 0.8, bits.shape)
+        score = np.round(score, 2 if rng.random() < 0.5 else 4)
+        maps.append(Tensor(score.astype(np.float32)))
+        masks.append(BinaryMask(bits))
+    return maps, masks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_aupro_truncated_sweep_matches_full_sweep(seed):
+    maps, masks = _many_sized_regions(seed)
+    sizes = {r.size for m in masks for r in connected_components(m).regions}
+    assert len(sizes) >= 20
+    # every point of the pooled FPR curve is itself a limit to try
+    pooled = np.concatenate([t.array.reshape(-1) for t in maps]).astype(np.float64)
+    normal = np.concatenate([m.bits.reshape(-1) == 0 for m in masks])
+    levels = np.unique(pooled)[::-1]
+    fp = np.array([(normal & (pooled >= t)).sum() for t in levels]) / normal.sum()
+    curve = np.unique(fp[fp > 0])
+    picked = curve[np.linspace(0, curve.size - 1, 12).astype(int)]
+    for limit in [*picked.tolist(), 0.05, 0.3, DEFAULT_FPR_LIMIT, 0.999, 1.0]:
+        got = aupro(maps, masks, limit)
+        want = _full_sweep_aupro(maps, masks, limit)
+        assert got.hex() == want.hex(), limit
+
+
 def test_aupro_order_invariant():
     rng = np.random.default_rng(5000)
     maps, masks = [], []

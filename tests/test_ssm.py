@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ssmad.ssm import (
+    SCAN_CHUNK,
     SERIES_THRESHOLD,
     SelectiveInputs,
     SsmDiscrete,
     SsmParams,
+    _affine_scan,
     build_conv_kernel,
     discretize,
     gradcheck,
@@ -27,6 +30,7 @@ from ssmad.ssm import (
     scan_recurrent,
     selective_scan,
     selective_scan_backward,
+    ssm_bank_scan,
     zoh,
 )
 from ssmad.tensor import Rng
@@ -262,6 +266,89 @@ def test_output_bound_for_stable_modes():
     y = _out(scan_recurrent(d, x))
     bound = np.linalg.norm(d.c, 1) * np.linalg.norm(d.b_bar, np.inf) * np.max(np.abs(x)) * length
     assert np.all(np.abs(y) <= bound + 1e-9)
+
+
+# ------------------------------------------- bank scan byte-identity oracle
+
+
+def _two_matmul_chunked_scan(powers, b_bar, c, seq):
+    """The chunked core as it was before the [M^T | W] fusion: powers laid
+    out (C, T+1, N), a zero-padded copy of every sequence, and separate
+    matmuls for the in-chunk outputs and the chunk-end states."""
+    chunk = SCAN_CHUNK
+    channels, length = seq.shape
+    n_chunks = -(-length // chunk)
+    x = np.zeros((channels, n_chunks * chunk), dtype=np.float64)
+    x[:, :length] = seq
+    x = x.reshape(channels, n_chunks, chunk)
+    kernel = np.einsum("cn,ckn->ck", c * b_bar, powers[:, :chunk])
+    padded = np.concatenate([np.zeros((channels, chunk - 1)), kernel], axis=1)
+    toeplitz = sliding_window_view(padded, chunk, axis=1)[:, :, ::-1]
+    y = x @ toeplitz.transpose(0, 2, 1)
+    ends = x @ (b_bar[:, None, :] * powers[:, chunk - 1::-1])
+    step = np.broadcast_to(powers[:, chunk], (n_chunks,) + b_bar.shape)
+    states = _affine_scan(step, np.moveaxis(ends, 1, 0))
+    carried = np.zeros_like(ends)
+    carried[:, 1:] = np.moveaxis(states[:-1], 0, 1)
+    y += carried @ (c[:, :, None] * powers[:, 1:].transpose(0, 2, 1))
+    return y.reshape(channels, n_chunks * chunk)[:, :length]
+
+
+def _two_matmul_bank_scan(a, b, c, delta, seq):
+    a64 = np.asarray(a, dtype=np.float64)
+    d64 = np.asarray(delta, dtype=np.float64)
+    _, b_bar = zoh(a64, d64[:, None], b)
+    z = d64[:, None] * a64
+    powers = np.exp(np.arange(SCAN_CHUNK + 1.0)[None, :, None] * z[:, None, :])
+    return _two_matmul_chunked_scan(powers, b_bar, np.asarray(c, dtype=np.float64), seq)
+
+
+def _decoder_bank(rng, rows, n=4):
+    """A bank drawn the way the decoder initialises one, in float32."""
+    a = -np.broadcast_to(np.arange(1.0, n + 1.0), (rows, n)).astype(np.float32)
+    s = 1.0 / np.sqrt(n)
+    b = rng.uniform(-s, s, (rows, n)).astype(np.float32)
+    c = rng.uniform(-s, s, (rows, n)).astype(np.float32)
+    delta = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), rows)).astype(np.float32)
+    return a, b, c, delta
+
+
+# the decode workload's bank shapes (K*E*C rows, L = H*W steps), then ragged
+# lengths: one chunk (1, 15), one step past a chunk (17) and a long tail (53);
+# a float64 bank with full-precision b, c and delta as well as the decoder's
+# float32 one
+@pytest.mark.parametrize("bank", ["decoder", "float64"])
+@pytest.mark.parametrize("layout", ["float32", "float64", "float64-strided"])
+@pytest.mark.parametrize(
+    "rows, length", [(512, 64), (256, 256), (128, 1024), (8, 1), (8, 15), (8, 17), (8, 53)]
+)
+def test_bank_scan_bytes_match_two_matmul_form(rows, length, layout, bank):
+    rng = np.random.default_rng(rows * 7919 + length)
+    a, b, c, delta = _decoder_bank(rng, rows)
+    if bank == "float64":
+        a = -rng.uniform(0.01, 4.0, a.shape)
+        b, c = rng.uniform(-0.5, 0.5, (2,) + a.shape)
+        delta = rng.uniform(1e-3, 0.5, rows)
+    seq = rng.standard_normal((rows, 2 * length))
+    seq = seq[:, ::2] if layout == "float64-strided" else seq[:, :length].copy()
+    if layout == "float32":
+        seq = seq.astype(np.float32)
+    before = seq.tobytes()
+    got = ssm_bank_scan(a, b, c, delta, seq)
+    want = _two_matmul_bank_scan(a, b, c, delta, seq)
+    assert got.shape == want.shape == (rows, length) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert seq.tobytes() == before  # the unpadded path only reads its input
+
+
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 53, 1024])
+def test_parallel_bytes_match_two_matmul_form(length):
+    rng = np.random.default_rng(length)
+    d = SsmDiscrete(a_bar=rng.uniform(0, 1, 4), b_bar=rng.standard_normal(4), c=rng.standard_normal(4))
+    x = rng.standard_normal(length)
+    powers = d.a_bar[None, None, :] ** np.arange(SCAN_CHUNK + 1.0)[None, :, None]
+    want = _two_matmul_chunked_scan(powers, d.b_bar[None], d.c[None], x[None])[0]
+    assert _out(scan_parallel(d, x)).tobytes() == want.astype(np.float32).tobytes()
 
 
 # --------------------------------------------------------- selective scan
