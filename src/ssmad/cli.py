@@ -272,8 +272,17 @@ def _json_list(values) -> list:
     return values
 
 
+def _json_number(value, kind=int):
+    """A JSON integer as int, or with kind=float any JSON number as float.
+    int() and float() alone would truncate 2.7 to 2 and read true as 1."""
+    allowed, name = ((int, float), "number") if kind is float else (int, "integer")
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise TypeError(f"expected a JSON {name}, got {value!r}")
+    return kind(value)
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in _json_list(values))
+    return tuple(_json_number(v) for v in _json_list(values))
 
 
 # config JSON key -> converter to the DecoderConfig field of the same name
@@ -283,10 +292,10 @@ _CONFIG_FIELDS = {
     "stage_channels": lambda v: None if v is None else _ints(v),
     "scan_method": ScanMethod,
     "directions": lambda v: tuple(ScanDirection(d) for d in _json_list(v)),
-    "state_size": int,
-    "expansion": int,
+    "state_size": _json_number,
+    "expansion": _json_number,
     "local_kernels": _ints,
-    "seed": int,
+    "seed": _json_number,
 }
 
 
@@ -366,8 +375,8 @@ def _load_manifest_samples(path: str):
         try:
             map_path = os.path.join(base, sample["score_map"])
             mask_path = os.path.join(base, sample["mask"])
-            image_score = float(sample["image_score"])
-            image_label = int(sample["image_label"])
+            image_score = _json_number(sample["image_score"], float)
+            image_label = _json_number(sample["image_label"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"sample {i} malformed: {exc}") from None
         if image_label not in (0, 1):

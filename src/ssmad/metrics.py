@@ -23,9 +23,9 @@ every pixel of every map.  All accumulation is float64.
 
 Every threshold sweep reads integer cumulative counts at the end of each
 tie group of one descending sort.  A LabeledScores holds read-only arrays
-and sorts itself at most once, so auroc, average_precision and f1_max on
-the same scores share one sweep; evaluate sorts the pooled pixels once for
-those three and once inside aupro.  Ground-truth regions are labelled
+and sorts itself at most once, so auroc, average_precision, f1_max and
+aupro on the same scores share one sweep; evaluate sorts the pooled pixels
+once for all four.  Ground-truth regions are labelled
 without a per-pixel loop: each foreground pixel takes the smallest flat
 index in its region by min-label propagation over 8-neighbour pairs with
 pointer jumping.
@@ -85,22 +85,30 @@ class LabeledScores:
 
     def __post_init__(self) -> None:
         s = _read_only(self.scores, np.float64)
-        l = _read_only(self.labels, np.int64)
+        l = np.asarray(self.labels)
         if s.ndim != 1 or l.ndim != 1 or s.size != l.size or s.size < 1:
             raise ValueError("scores and labels must be equal-length vectors")
         if not np.isfinite(s).all():
             raise ValueError("scores must be finite")
-        if not np.isin(l, (0, 1)).all():
+        # before the cast, which would truncate 0.7 to 0
+        if not np.all((l == 0) | (l == 1)):
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "labels", l)
+        object.__setattr__(self, "labels", _read_only(l, np.int64))
+
+    @cached_property
+    def _tie_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Descending order and tie-group ends: the one sort of these scores."""
+        order, ends = _tie_groups(self.scores)
+        order.flags.writeable = ends.flags.writeable = False
+        return order, ends
 
     @cached_property
     def _tie_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative TP/FP after each descending unique-score group.  The
         arrays it is computed from cannot change, so the one sweep serves
         every metric of these scores."""
-        order, ends = _tie_groups(self.scores)
+        order, ends = self._tie_order
         tp = np.cumsum(self.labels[order])[ends].astype(np.float64)
         fp = (ends + 1) - tp
         tp.flags.writeable = fp.flags.writeable = False
@@ -300,55 +308,49 @@ def connected_components(mask: BinaryMask) -> RegionSet:
 
 
 def aupro(
-    maps: list[Tensor],
+    pixels: LabeledScores,
     masks: list[BinaryMask],
     fpr_limit: float = DEFAULT_FPR_LIMIT,
 ) -> float:
     """Area under the mean per-region overlap vs pooled FPR, normalised.
 
-    The threshold sweep is pooled over every pixel of every map and walks
-    unique scores in descending order; the curve starts at (0, 0) and the
-    trapezoid integral stops at fpr_limit (interpolating the final segment).
-    The overlap summed over regions is, per distinct region size s, the exact
+    ``pixels`` pools every map's scores, labelled with the masks' bits in
+    mask order; the curve walks the unique scores of the sweep it shares
+    with the other pixel metrics, starts at (0, 0), and its trapezoid
+    integral stops at fpr_limit (interpolating the final segment).  The
+    overlap summed over regions is, per distinct region size s, the exact
     hit count in size-s regions divided by s: it never exceeds the region
     count, and a full sweep reaches it exactly.  The per-size sums stop at
-    the tie group that crosses fpr_limit; at fpr_limit = 1 they run over
-    every pooled pixel.
+    the tie group crossing fpr_limit, and run over every pixel at 1.
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricPreconditionError("fpr_limit must lie in (0, 1]")
-    if len(maps) != len(masks) or not maps:
-        raise MetricPreconditionError("need equally many maps and masks")
-
-    pixel_sizes = []    # per pixel: size of its region, 0 for a normal pixel
+    bits = [m.bits.reshape(-1) for m in masks]
+    if not bits or not np.array_equal(pixels.labels, np.concatenate(bits)):
+        raise ValueError("pooled labels are not the masks' bits")
+    sizes = np.zeros(pixels.labels.size, dtype=np.int64)  # 0 for a normal pixel
     region_sizes = []
-    scores = []
-    for t, m in zip(maps, masks):
-        if t.ndim != 2 or t.shape != (m.height, m.width):
-            raise ValueError(f"map shape {t.shape} != mask {m.height}x{m.width}")
-        sizes = np.zeros(m.height * m.width, dtype=np.int64)
+    start = 0
+    for m in masks:
         for region in connected_components(m).regions:
-            sizes[region] = region.size
+            sizes[start + region] = region.size
             region_sizes.append(region.size)
-        pixel_sizes.append(sizes)
-        scores.append(t.array.reshape(-1).astype(np.float64))
-
-    all_sizes = np.concatenate(pixel_sizes)
-    negatives = int((all_sizes == 0).sum())
+        start += m.bits.size
     if not region_sizes:
         raise MetricPreconditionError("aupro needs at least one anomalous region")
-    if negatives == 0:
+    if pixels.negatives == 0:
         raise MetricPreconditionError("aupro needs at least one normal pixel")
 
-    order, ends = _tie_groups(np.concatenate(scores))
-    sorted_sizes = all_sizes[order]
-    fpr = np.concatenate([[0.0], np.cumsum(sorted_sizes == 0)[ends] / negatives])
+    order, ends = pixels._tie_order
+    # the sweep's false positives are the size-0 pixels at or above each threshold
+    _, fp = pixels._tie_counts
+    fpr = np.concatenate([[0.0], fp / pixels.negatives])
     # points at or below fpr_limit, then the crossing of the next segment:
     # pro is read up to index inside, so the overlap sums stop at the
     # tie-group end of that point
     inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
     kept = ends[:inside]
-    head = sorted_sizes[:kept[-1] + 1]
+    head = sizes[order[:kept[-1] + 1]]
     overlap = np.zeros(kept.size)
     for s in np.unique(region_sizes):
         overlap += np.cumsum(head == s)[kept] / s
@@ -393,9 +395,6 @@ def evaluate(
     # fresh arrays nobody else holds: freezing them spares LabeledScores a copy
     scores.flags.writeable = labels.flags.writeable = False
     pixels = LabeledScores(scores=scores, labels=labels)
-    del scores, labels
     image = (auroc(image_scores), average_precision(image_scores), f1_max(image_scores))
     pixel = (auroc(pixels), average_precision(pixels), f1_max(pixels))
-    # aupro sorts the pooled scores again; release these and their sweep first
-    del pixels
-    return MetricsReport(*image, *pixel, aupro(maps, masks, fpr_limit=fpr_limit))
+    return MetricsReport(*image, *pixel, aupro(pixels, masks, fpr_limit=fpr_limit))

@@ -136,14 +136,15 @@ class BinaryMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError("mask must be two-dimensional")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("mask extents must be >= 1")
-        if not np.isin(arr, (0, 1)).all():
+        # before the cast, which would truncate 0.5 to 0 and wrap 256 to 0
+        if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("mask values must be 0 or 1")
-        object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "bits", np.ascontiguousarray(arr, dtype=np.uint8))
 
     @property
     def height(self) -> int:
@@ -290,8 +291,11 @@ def read_mask_pgm(buf: bytes) -> BinaryMask:
     for _ in range(3):
         tok, end = next(toks)
         try:
+            # int() alone would also take "+5" and "1_6"
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError
             fields.append(int(tok))
-        except ValueError:
+        except ValueError:  # also a number too long for int() to convert
             raise PgmError(f"non-numeric header field {tok!r}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:

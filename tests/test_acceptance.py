@@ -377,9 +377,10 @@ def test_metric_oracles_and_worked_examples():
         bits[tuple(rng.integers(0, side, 2))] = 0  # at least one negative
         if bits.min() == 1:
             bits[0, 0] = 0
-        score = rng.random((side, side))
-        got = aupro([Tensor(score.astype(np.float32))], [BinaryMask(bits)])
-        want = _oracle_aupro(score.astype(np.float32).astype(np.float64), bits)
+        score = rng.random((side, side)).astype(np.float32).astype(np.float64)
+        pixels = LabeledScores(score.reshape(-1), bits.reshape(-1))
+        got = aupro(pixels, [BinaryMask(bits)])
+        want = _oracle_aupro(score, bits)
         worst = max(worst, abs(got - want))
     ok = ok and worst <= 1e-9
     _verdict(

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ssmad import cli, synth
-from ssmad.metrics import aupro
+from ssmad.metrics import LabeledScores, aupro
 from ssmad.scans import ScanDirection
 from ssmad.tensor import Tensor, read_mask_pgm_file, read_tensor_file, write_tensor_file
 
@@ -247,10 +247,19 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
          "bad config: expected a list, got '1111'"),
         ({"directions": "forward"}, "bad config: expected a list, got 'forward'"),
         ({"stage_channels": [1, 2, 3, 4]}, "bad config: stage_channels (1, 2, 3, 4)"),
+        ({"stage_depths": [1.9, 1, 1, 1]}, "bad config: expected a JSON integer, got 1.9"),
+        ({"hss_per_stage": [1, 1, 1, True]}, "bad config: expected a JSON integer, got True"),
+        ({"stage_channels": [8, 8, 8.0, 8]}, "bad config: expected a JSON integer, got 8.0"),
+        ({"local_kernels": [3.0]}, "bad config: expected a JSON integer, got 3.0"),
+        ({"state_size": 2.7}, "bad config: expected a JSON integer, got 2.7"),
+        ({"expansion": True}, "bad config: expected a JSON integer, got True"),
+        ({"seed": "7"}, "bad config: expected a JSON integer, got '7'"),
     ],
     ids=["array", "unknown-key", "state-size-0", "even-kernels", "one-kernel",
          "repeated-direction", "three-directions", "string-for-list",
-         "string-for-directions", "stage-channels"],
+         "string-for-directions", "stage-channels", "float-depth", "bool-hss-count",
+         "float-channels", "float-kernel", "float-state-size", "bool-expansion",
+         "string-seed"],
 )
 def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
     path = tmp_path / "cfg.json"
@@ -587,11 +596,17 @@ def test_eval_malformed_manifest(tmp_path):
         ({"category": ["a"]}, 0, "sample 0: category must be a string"),
         ({"category": 1}, 0, "sample 0: category must be a string"),  # next to "widget"
         ({"image_label": 2}, 0, "sample 0: image_label must be 0 or 1"),
-        ({"image_score": "nan"}, 1, "sample 1: image_score must be finite"),
+        ({"image_score": float("nan")}, 1, "sample 1: image_score must be finite"),
         ({"score_map": "inf_map.mbt"}, 0, "inf_map.mbt: score map has non-finite values"),
+        ({"image_label": 0.7}, 0, "sample 0 malformed: expected a JSON integer, got 0.7"),
+        ({"image_label": 1.2}, 1, "sample 1 malformed: expected a JSON integer, got 1.2"),
+        ({"image_label": True}, 0, "sample 0 malformed: expected a JSON integer, got True"),
+        ({"image_score": "nan"}, 1, "sample 1 malformed: expected a JSON number, got 'nan'"),
+        ({"image_score": False}, 0, "sample 0 malformed: expected a JSON number, got False"),
     ],
     ids=["8x8-map", "3-d-map", "int-score-map", "list-category", "int-and-str-categories",
-         "label-2", "nan-image-score", "inf-in-score-map"],
+         "label-2", "nan-image-score", "inf-in-score-map", "float-label", "float-label-1.2",
+         "bool-label", "string-image-score", "bool-image-score"],
 )
 def test_eval_rejects_bad_sample(fixture_dirs, edits, row, named):
     manifest = fixture_dirs / "bad_sample.json"
@@ -821,7 +836,8 @@ def test_synth_oracle_map_saturates_aupro(tmp_path):
     assert r.returncode == 0, r.stderr
     oracle = read_tensor_file(out / "oracle_map.mbt")
     mask = read_mask_pgm_file(out / "mask.pgm")
-    assert aupro([oracle], [mask]) == 1.0
+    pixels = LabeledScores(oracle.data.astype(np.float64), mask.bits.reshape(-1))
+    assert aupro(pixels, [mask]) == 1.0
 
 
 def test_synth_normal_kind_has_empty_mask(tmp_path):

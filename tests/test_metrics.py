@@ -8,7 +8,7 @@
 """
 
 import json
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -314,8 +314,24 @@ def test_evaluate_sorts_each_score_set_once(monkeypatch):
     calls = _count_tie_groups(monkeypatch)
     evaluate(image, maps, masks)
     pixels = sum(t.array.size for t in maps)
-    # image metrics, pooled pixel metrics, aupro
-    assert calls == [4, pixels, pixels]
+    # image metrics, then the pooled pixels that aupro shares
+    assert calls == [4, pixels]
+
+
+def test_evaluate_calls_each_metric_through_the_module(monkeypatch):
+    # perfbench times each metric by wrapping these module attributes
+    calls = []
+    for name in ("auroc", "average_precision", "f1_max", "aupro"):
+        real = getattr(metrics, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, counting)
+    evaluate(*_tie_heavy_inputs(0))
+    # image and pooled pixels each, then aupro once
+    assert Counter(calls) == {"auroc": 2, "average_precision": 2, "f1_max": 2, "aupro": 1}
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -324,6 +340,18 @@ def test_evaluate_tie_order_free_matches_stable_sort(seed, monkeypatch):
     monkeypatch.setattr(metrics, "_tie_groups", _stable_tie_groups)
     want = evaluate(*_tie_heavy_inputs(seed))
     assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2, 1.0], [0.0, 1.0, 0.5]])
+def test_labeled_scores_reject_labels_before_the_cast(labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        LabeledScores([0.9, 0.1, 0.5], labels)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_, np.uint8, np.int64])
+def test_labeled_scores_take_exact_labels_of_any_dtype(dtype):
+    ls = LabeledScores([0.9, 0.1, 0.5], np.array([1, 0, 1], dtype=dtype))
+    assert ls.labels.dtype == np.int64 and ls.labels.tolist() == [1, 0, 1]
 
 
 def test_labeled_scores_hold_read_only_copies():
@@ -440,6 +468,13 @@ def test_components_stress_shapes_match_flood_fill(name):
 # ------------------------------------------------------------------ aupro
 
 
+def _pooled(maps, masks):
+    """The pooled pixels evaluate hands to aupro: every map's scores,
+    labelled with the masks' bits."""
+    scores = np.concatenate([t.array.reshape(-1) for t in maps]).astype(np.float64)
+    return LabeledScores(scores, np.concatenate([m.bits.reshape(-1) for m in masks]))
+
+
 # each layout: one (height, width, anomalous cells) triple per map
 _PERFECT_LAYOUTS = {
     "one-square": [(4, 4, [(1, 1), (1, 2), (2, 1), (2, 2)])],
@@ -464,7 +499,7 @@ def test_aupro_perfect_detector(layout):
             mask[r, c] = 1
         maps.append(Tensor(mask.astype(np.float32)))
         masks.append(BinaryMask(mask))
-    assert aupro(maps, masks, DEFAULT_FPR_LIMIT) == 1.0
+    assert aupro(_pooled(maps, masks), masks, DEFAULT_FPR_LIMIT) == 1.0
     # the image scores only have to let evaluate reach the pixel metrics
     report = evaluate(LabeledScores([1.0, 0.0], [1, 0]), maps, masks)
     assert report.mad() == 1.0
@@ -476,29 +511,47 @@ def test_aupro_anti_correlated():
     mask = np.zeros((4, 4), np.uint8)
     mask[0, 0] = 1
     score = 1.0 - mask.astype(np.float32)
-    got = aupro([Tensor(score)], [BinaryMask(mask)], 0.3)
+    maps, masks = [Tensor(score)], [BinaryMask(mask)]
+    got = aupro(_pooled(maps, masks), masks, 0.3)
     want = _exhaustive_aupro([score.astype(np.float64)], [mask], 0.3)
     assert abs(got - want) <= 1e-12
     assert got <= 0.05
+
+
+def _flat_map_aupro(bits, fpr_limit=DEFAULT_FPR_LIMIT):
+    masks = [BinaryMask(bits)]
+    return aupro(_pooled([Tensor(np.ones((2, 2), np.float32))], masks), masks, fpr_limit)
 
 
 def test_aupro_validates_limit():
     mask = np.ones((2, 2), np.uint8)
     mask[0, 0] = 0
     with pytest.raises(MetricPreconditionError):
-        aupro([Tensor(np.ones((2, 2), np.float32))], [BinaryMask(mask)], 0.0)
+        _flat_map_aupro(mask, 0.0)
     with pytest.raises(MetricPreconditionError):
-        aupro([Tensor(np.ones((2, 2), np.float32))], [BinaryMask(mask)], 1.5)
+        _flat_map_aupro(mask, 1.5)
 
 
 def test_aupro_needs_a_region():
     with pytest.raises(MetricPreconditionError):
-        aupro([Tensor(np.ones((2, 2), np.float32))], [BinaryMask(np.zeros((2, 2), np.uint8))])
+        _flat_map_aupro(np.zeros((2, 2), np.uint8))
 
 
 def test_aupro_needs_a_negative_pixel():
     with pytest.raises(MetricPreconditionError):
-        aupro([Tensor(np.ones((2, 2), np.float32))], [BinaryMask(np.ones((2, 2), np.uint8))])
+        _flat_map_aupro(np.ones((2, 2), np.uint8))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0]],
+    ids=["short", "long", "moved"],
+)
+def test_aupro_rejects_labels_that_are_not_the_masks_bits(labels):
+    masks = [BinaryMask([[1, 0], [0, 0]])]
+    pixels = LabeledScores(np.linspace(1.0, 0.0, len(labels)), labels)
+    with pytest.raises(ValueError, match="^pooled labels are not the masks' bits$"):
+        aupro(pixels, masks)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -522,7 +575,7 @@ def test_aupro_matches_exhaustive_oracle(seed):
         raw_masks[0][0, 0] = 1
         masks[0] = BinaryMask(raw_masks[0])
     limit = float(rng.choice([0.1, 0.3, 1.0]))
-    got = aupro(maps, masks, limit)
+    got = aupro(_pooled(maps, masks), masks, limit)
     want = _exhaustive_aupro(raw_maps, raw_masks, limit)
     assert abs(got - want) <= 1e-9
 
@@ -561,7 +614,8 @@ def _aupro_case(draw):
 @given(case=_aupro_case())
 def test_aupro_property_matches_exhaustive_oracle(case):
     maps, masks, limit = case
-    got = aupro([Tensor(t) for t in maps], [BinaryMask(m) for m in masks], limit)
+    bit_masks = [BinaryMask(m) for m in masks]
+    got = aupro(_pooled([Tensor(t) for t in maps], bit_masks), bit_masks, limit)
     want = _exhaustive_aupro([t.astype(np.float64) for t in maps], masks, limit)
     assert abs(got - want) <= 1e-9
     assert 0.0 <= got <= 1.0
@@ -632,8 +686,9 @@ def test_aupro_truncated_sweep_matches_full_sweep(seed):
     fp = np.array([(normal & (pooled >= t)).sum() for t in levels]) / normal.sum()
     curve = np.unique(fp[fp > 0])
     picked = curve[np.linspace(0, curve.size - 1, 12).astype(int)]
+    pixels = _pooled(maps, masks)  # one cached sweep serves every limit
     for limit in [*picked.tolist(), 0.05, 0.3, DEFAULT_FPR_LIMIT, 0.999, 1.0]:
-        got = aupro(maps, masks, limit)
+        got = aupro(pixels, masks, limit)
         want = _full_sweep_aupro(maps, masks, limit)
         assert got.hex() == want.hex(), limit
 
@@ -648,8 +703,8 @@ def test_aupro_order_invariant():
         bits[0, 0] = 0
         maps.append(Tensor(score))
         masks.append(BinaryMask(bits))
-    a = aupro(maps, masks)
-    b = aupro(maps[::-1], masks[::-1])
+    a = aupro(_pooled(maps, masks), masks)
+    b = aupro(_pooled(maps[::-1], masks[::-1]), masks[::-1])
     assert abs(a - b) <= 1e-12
 
 
@@ -728,7 +783,7 @@ def test_evaluate_pixel_pooling_matches_standalone():
     assert report.pixel_auroc == auroc(pooled)
     assert report.pixel_ap == average_precision(pooled)
     assert report.pixel_f1_max == f1_max(pooled)
-    assert report.pixel_aupro == aupro(maps, masks)
+    assert report.pixel_aupro == aupro(pooled, masks)
     assert report.image_auroc == auroc(image)
 
 

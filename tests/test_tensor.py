@@ -6,12 +6,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssmad.tensor import (
     BadMagic,
     BinaryMask,
+    MbtError,
     PgmError,
     Rng,
     Tensor,
@@ -150,6 +151,21 @@ def test_file_roundtrip(tmp_path):
     assert u.array.tobytes() == t.array.tobytes()
 
 
+# ------------------------------------------------------------------- mask
+
+
+@pytest.mark.parametrize("bits", [[[0.5, 1.0]], [[1.2, 0.0]], [[256, 1]]])
+def test_binary_mask_rejects_values_before_the_cast(bits):
+    with pytest.raises(ValueError, match="mask values must be 0 or 1"):
+        BinaryMask(np.array(bits))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.int64, np.uint8])
+def test_binary_mask_takes_exact_bits_of_any_dtype(dtype):
+    mask = BinaryMask(np.array([[0, 1], [1, 0]], dtype=dtype))
+    assert mask.bits.dtype == np.uint8 and mask.bits.tolist() == [[0, 1], [1, 0]]
+
+
 # -------------------------------------------------------------------- pgm
 
 
@@ -191,6 +207,20 @@ def test_pgm_rejects_short_raster():
         read_mask_pgm(b"P5\n2 2\n255\n\x00\x00\x00")
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"P5 1_6 1 255\n" + bytes(16),
+        b"P5 2 1 +255\n" + bytes(2),
+        b"P5 +2 1 255\n" + bytes(2),
+    ],
+    ids=["underscore", "plus-maxval", "plus-width"],
+)
+def test_pgm_header_fields_are_ascii_digits(blob):
+    with pytest.raises(PgmError, match="non-numeric header field"):
+        read_mask_pgm(blob)
+
+
 def test_pgm_file_roundtrip(tmp_path):
     from ssmad.tensor import read_mask_pgm_file, write_mask_pgm_file
 
@@ -200,6 +230,58 @@ def test_pgm_file_roundtrip(tmp_path):
     write_mask_pgm_file(path, mask)
     back = read_mask_pgm_file(path)
     np.testing.assert_array_equal(back.bits, mask.bits)
+
+
+# ------------------------------------------------------------------- fuzz
+
+
+@st.composite
+def _valid_mbt(draw):
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    count = int(np.prod(shape))
+    payload = draw(st.binary(min_size=4 * count, max_size=4 * count))
+    return write_tensor(Tensor(np.frombuffer(payload, "<f4").reshape(shape)))
+
+
+@st.composite
+def _valid_pgm(draw):
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    raster = draw(st.binary(min_size=h * w, max_size=h * w))
+    header = draw(st.sampled_from(["P5\n{w} {h}\n255\n", "P5 # c\n{w}\t{h} 255\r"]))
+    return header.format(w=w, h=h).encode("ascii") + raster
+
+
+@st.composite
+def _damaged(draw, valid):
+    """A valid file, cut short or with one byte replaced."""
+    blob = draw(valid)
+    at = draw(st.integers(0, len(blob) - 1))
+    if draw(st.booleans()):
+        return blob[:at]
+    return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=64), _valid_mbt(), _damaged(_valid_mbt())))
+@example(blob=b"MBT1\x01\x00\x04\x00" + b"\xff" * 32)
+def test_read_tensor_fuzz_gives_tensor_or_mbt_error(blob):
+    try:
+        t = read_tensor(blob)
+    except MbtError:
+        return
+    assert isinstance(t, Tensor) and t.array.dtype == np.float32
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=64), _valid_pgm(), _damaged(_valid_pgm())))
+@example(blob=b"P5 " + b"9" * 5000 + b" 1 255\n\x00")
+@example(blob=b"P5 \xd9\xa3 1 255\n\x00")
+def test_read_mask_pgm_fuzz_gives_mask_or_pgm_error(blob):
+    try:
+        m = read_mask_pgm(blob)
+    except PgmError:
+        return
+    assert isinstance(m, BinaryMask) and set(np.unique(m.bits)) <= {0, 1}
 
 
 # --------------------------------------------------------------- bilinear
