@@ -17,12 +17,15 @@ The hybrid-scan block (``hss_forward``) runs, from input G:
     out   = Linear_out(LN(scans) * SiLU(Linear_gate(u))) + G
 
 Each direction owns an independent bank of E*C single-channel SSMs.  The K
-directions are stacked into one bank of K*E*C channels: the K gathers
-(``np.take`` along every order) fill one float64 (K*E*C, L) buffer, which a
-single ``ssm_bank_scan`` call scans without a cast or padded copy, and each
-direction's slice is taken back onto the grid through one reused buffer and
-added in the fixed direction order.  No threads are used, so every output
-byte depends only on the parameters and the input.
+directions are stacked into one bank of K*E*C channels: the K gathers fill
+one float64 (K*E*C, L) buffer, which a single ``ssm_bank_scan`` call scans
+without a cast or padded copy, and each direction's slice is taken back
+onto the grid through one reused buffer and added in the fixed direction
+order.  A direction and its reverse visit the same cells in opposite
+orders, so only the first of such a pair is gathered with ``np.take``; the
+second is the first's rows read backwards, a mirrored copy.  No threads
+are used, so every output byte depends only on the parameters and the
+input.
 
 SiLU, layer norm and instance norm each update one float64 working array in
 place; the two norms centre the data once and give the bytes of ``np.mean``
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scans import ScanDirection, ScanMethod, make_schedule
+from .scans import _DIRECTION_PARTS, ScanDirection, ScanMethod, make_schedule
 from .ssm import ssm_bank_scan
 from .tensor import Rng, Tensor
 
@@ -445,12 +448,21 @@ def hss_forward(g: Tensor, p: HssParams, workers: int = 1) -> Tensor:
 
     # row k * inner + c of the stacked bank and sequence is channel c of
     # direction k; every order is a permutation of range(h * w), so "clip"
-    # never clips and lets np.take write straight into its out
+    # never clips and lets np.take write straight into its out.  A reverse
+    # direction visits its forward partner's order backwards, so the later
+    # of the two is the earlier one's block read backwards.
     rows = len(p.directions) * inner
     scheds = [make_schedule(p.method, d, h, w) for d in p.directions]
     seq = np.empty((rows, h * w), dtype=np.float64)
-    for k, s in enumerate(scheds):
-        np.take(main64, s.order, axis=1, out=seq[k * inner:(k + 1) * inner], mode="clip")
+    gathered = {}  # (transpose, rotate) -> the block gathered along them
+    for k, (d, s) in enumerate(zip(p.directions, scheds)):
+        block = seq[k * inner:(k + 1) * inner]
+        key = _DIRECTION_PARTS[d][:2]
+        if key in gathered:
+            block[...] = gathered[key][:, ::-1]
+        else:
+            np.take(main64, s.order, axis=1, out=block, mode="clip")
+            gathered[key] = block
     y = ssm_bank_scan(
         p.bank.a.reshape(rows, -1),
         p.bank.b.reshape(rows, -1),

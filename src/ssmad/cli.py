@@ -32,6 +32,7 @@ from .metrics import (
     evaluate,
 )
 from .pipeline import (
+    MAX_MAP_CELLS,
     DecoderConfig,
     FeaturePyramid,
     init_decoder_params,
@@ -59,6 +60,7 @@ from .tensor import (
     MbtError,
     Rng,
     Tensor,
+    _brief,
     read_mask_pgm_file,
     read_tensor_file,
     write_tensor_file,
@@ -268,7 +270,7 @@ def _json_list(values) -> list:
     # a JSON string or object is iterable too; refuse it rather than
     # reading "1111" as four ones
     if not isinstance(values, list):
-        raise TypeError(f"expected a list, got {values!r}")
+        raise TypeError(f"expected a list, got {_brief(values)}")
     return values
 
 
@@ -277,7 +279,7 @@ def _json_number(value, kind=int):
     int() and float() alone would truncate 2.7 to 2 and read true as 1."""
     allowed, name = ((int, float), "number") if kind is float else (int, "integer")
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise TypeError(f"expected a JSON {name}, got {value!r}")
+        raise TypeError(f"expected a JSON {name}, got {_brief(value)}")
     return kind(value)
 
 
@@ -285,13 +287,22 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(_json_number(v) for v in _json_list(values))
 
 
+def _member(kind, value):
+    """The enum member named by a JSON value; the enum's own error would
+    quote the whole value."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{_brief(value)} is not a valid {kind.__name__}") from None
+
+
 # config JSON key -> converter to the DecoderConfig field of the same name
 _CONFIG_FIELDS = {
     "stage_depths": _ints,
     "hss_per_stage": _ints,
     "stage_channels": lambda v: None if v is None else _ints(v),
-    "scan_method": ScanMethod,
-    "directions": lambda v: tuple(ScanDirection(d) for d in _json_list(v)),
+    "scan_method": lambda v: _member(ScanMethod, v),
+    "directions": lambda v: tuple(_member(ScanDirection, d) for d in _json_list(v)),
     "state_size": _json_number,
     "expansion": _json_number,
     "local_kernels": _ints,
@@ -317,6 +328,11 @@ def _config_from_json(path: str | None) -> DecoderConfig:
 def cmd_forward(args) -> int:
     if args.map_size is not None:
         _require_positive(map_size=args.map_size)
+        if args.map_size ** 2 > MAX_MAP_CELLS:
+            raise CliError(
+                f"--map-size {args.map_size} gives more than "
+                f"MAX_MAP_CELLS = {MAX_MAP_CELLS} cells"
+            )
     pyramid = _load_pyramid(args.pyramid)
     cfg = _config_from_json(args.config)
     channels = pyramid.channels
@@ -480,10 +496,11 @@ def cmd_bench(args) -> int:
         b_bar=rng.uniform(n, -1.0, 1.0),
         c=rng.uniform(n, -1.0, 1.0),
     )
-    # the decoder's scan: a fixed bank of 16 channels with state size n, timed
-    # per channel-step
-    channels = 16
-    a, b, c, delta = _draw_bank(rng, channels, n)
+    # the decoder's scan on decode's stage-2 bank shape, 256 channels with
+    # state size 4, where per-call overhead rather than arithmetic bounds
+    # it; timed per channel-step
+    channels = 256
+    a, b, c, delta = _draw_bank(rng, channels, 4)
     for size in sizes:
         x = np.sin(np.arange(size) * 0.1) * 0.5
         xs = np.tile(x, (channels, 1))
@@ -565,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="micro-benchmarks")
-    p.add_argument("--sizes", default="1024,16384,262144")
+    p.add_argument("--sizes", default="64,1024,16384")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)

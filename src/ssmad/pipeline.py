@@ -70,11 +70,16 @@ __all__ = [
     "ZERO_NORM_EPS",
     "SMOOTH_KERNEL",
     "SMOOTH_SIGMA",
+    "MAX_MAP_CELLS",
 ]
 
 ZERO_NORM_EPS = 1e-12
 SMOOTH_KERNEL = 5
 SMOOTH_SIGMA = 4.0
+# largest out_h * out_w an anomaly map may have (2048 x 2048); its float64
+# working maps then take 32 MB each, and larger extents are refused before
+# any array is made
+MAX_MAP_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -334,14 +339,18 @@ def anomaly_map(
 ) -> AnomalyScoreMap:
     """Sum of per-scale cosine-distance maps at a common resolution: each
     per-scale map is resized to the output resolution, then the maps are
-    summed.  The output extents default to the top scale's and must be
-    >= 1."""
+    summed.  The output extents default to the top scale's, must be >= 1
+    and may hold at most MAX_MAP_CELLS cells."""
     th, tw = target.top_resolution
     out_h = th if out_h is None else out_h
     out_w = tw if out_w is None else out_w
     for name, extent in (("out_h", out_h), ("out_w", out_w)):
         if extent < 1:
             raise ValueError(f"{name} must be >= 1, got {extent}")
+    if out_h * out_w > MAX_MAP_CELLS:
+        raise ValueError(
+            f"map {out_h}x{out_w} has more than MAX_MAP_CELLS = {MAX_MAP_CELLS} cells"
+        )
     total = np.zeros((out_h, out_w), dtype=np.float64)
     for t, r in zip(target.scales, recon.scales):
         if t.shape != r.shape:

@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 MAX_HILBERT_ORDER = 8
+# largest h * w a schedule may cover (a 2048 x 2048 grid); its order and
+# inverse then take 64 MB, and larger extents are refused before any array
+# is made
+MAX_GRID_CELLS = 1 << 22
 
 
 class UnsupportedGeometry(ValueError):
@@ -190,6 +194,10 @@ def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
     """Forward-direction schedule of the given curve on an h x w grid."""
     if h < 1 or w < 1:
         raise UnsupportedGeometry("grid extents must be >= 1")
+    if h * w > MAX_GRID_CELLS:
+        raise UnsupportedGeometry(
+            f"grid {h}x{w} has more than MAX_GRID_CELLS = {MAX_GRID_CELLS} cells"
+        )
 
     if method is ScanMethod.SWEEP:
         order = np.arange(h * w, dtype=np.int64)

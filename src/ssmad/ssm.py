@@ -18,14 +18,18 @@ dual (Dao & Gu 2024).  The chunked form is one private core shared by
 independent single-channel systems, the decoder's scan): a lower-triangular
 Toeplitz matmul inside each chunk of SCAN_CHUNK steps, plus a prefix scan
 over a fixed balanced tree that carries the state across chunk boundaries.
+Every chunk shares one step a_bar^T, so the carry runs over the real
+chunks only, with no padding to a power of two: a tree level that joins
+runs of 2^k chunks multiplies by a_bar^(T 2^k), made by squaring.
 The powers a_bar^k, k = 0 .. SCAN_CHUNK, are laid out (SCAN_CHUNK+1, C, N),
 so their exp and the products built from them run over one long
-contiguous axis.  The transposed Toeplitz block M^T and the chunk-end
-weights W share one (C, T, T+N) buffer, and one batched matmul X [M^T | W]
-gives the in-chunk outputs and the chunk-end states together.  A float64
-sequence whose length is a multiple of SCAN_CHUNK (every decoder grid) is
-reshaped into chunks as it is; any other is first copied into a zero-padded
-float64 array.  The chunk length is a constant rather than a function of
+contiguous axis.  The transposed Toeplitz block M^T (one strided view of
+the zero-padded kernel) and the chunk-end weights W (made in the powers'
+layout, then copied in once) share one (C, T, T+N) buffer, and one batched
+matmul X [M^T | W] gives the in-chunk outputs and the chunk-end states
+together.  A float64 sequence whose length is a multiple of SCAN_CHUNK
+(every decoder grid) is reshaped into chunks as it is; any other is first
+copied into a zero-padded float64 array.  The chunk length is a constant rather than a function of
 the input or the machine, and no threads are used, so every output byte
 depends only on the parameters and the sequence.
 
@@ -40,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Rng, Tensor
 
@@ -249,39 +252,36 @@ def scan_convolutional(kernel, x) -> Tensor:
     return Tensor(y.astype(np.float32))
 
 
-def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inclusive prefix of h -> a*h + b along axis 0, h before step 0 is 0.
+def _carry_scan(step: np.ndarray, states: np.ndarray) -> None:
+    """In place along axis 0 of states (J, C, N): the inclusive prefix of
+    h -> step * h + states[j], h before chunk 0 is 0, one step (C, N) for
+    every chunk.
 
-    Blelloch up/down sweep on a balanced binary tree padded to a power of
-    two with identity elements (a=1, b=0); the tree shape depends only on
-    the sequence length.
+    The up-sweep and down-sweep of a balanced binary tree over the J chunks.
+    A node that spans 2^k chunks multiplies by step^(2^k), made by squaring:
+    p_1 = step, p_2k = p_k * p_k.  Every node that feeds an output spans
+    real chunks only, so the tree needs no identity padding and no array of
+    per-node powers; which updates reach chunk j depends only on j, so its
+    bytes do not depend on J.  Every level's products go through one
+    scratch buffer of J // 2 rows.
     """
-    length = a.shape[0]
-    n = 1 << max(length - 1, 0).bit_length() if length > 1 else 1
-    acc_a = np.ones((n,) + a.shape[1:], dtype=np.float64)
-    acc_b = np.zeros((n,) + b.shape[1:], dtype=np.float64)
-    acc_a[:length] = a
-    acc_b[:length] = b
-
-    # hi and lo are disjoint strided views, so the in-place updates are safe
-    step = 1
-    while step < n:
-        hi = slice(2 * step - 1, n, 2 * step)
-        lo = slice(step - 1, n, 2 * step)
-        acc_b[hi] += acc_a[hi] * acc_b[lo]
-        acc_a[hi] *= acc_a[lo]
-        step *= 2
-
-    step = n
-    while step >= 2:
-        half = step // 2
-        hi = slice(step + half - 1, n, step)
-        lo = slice(step - 1, n - half, step)
-        acc_b[hi] += acc_a[hi] * acc_b[lo]
-        acc_a[hi] *= acc_a[lo]
-        step = half
-
-    return acc_b[:length]
+    length = states.shape[0]
+    scratch = np.empty_like(states[: length // 2])
+    powers = [step]  # powers[k] = step^(2^k)
+    span = 1
+    # up-sweep: hi ends a run of 2 * span chunks, lo ends its first half
+    while 2 * span <= length:
+        lo = states[span - 1:length - span:2 * span]
+        states[2 * span - 1::2 * span] += np.multiply(powers[-1], lo, out=scratch[:len(lo)])
+        powers.append(powers[-1] * powers[-1])
+        span *= 2
+    # down-sweep: hi lies half a run past lo, the end of a run of span chunks
+    while span > 1:
+        half = span // 2
+        powers.pop()
+        lo = states[span - 1:length - half:span]
+        states[span + half - 1::span] += np.multiply(powers[-1], lo, out=scratch[:len(lo)])
+        span = half
 
 
 def _chunked_scan(
@@ -301,8 +301,9 @@ def _chunked_scan(
                        M[c, i, j] = K[c, i - j], K[c, k] = <c, b_bar a_bar^k>
       chunk ends       S = X W, W[c, t, n] = b_bar a_bar^(T-1-t)
       carried state    H = fixed-tree prefix scan of h -> a_bar^T h + S over
-                       the J chunks; chunk j adds H[j-1] Q with
-                       Q[c, n, i] = c a_bar^(i+1)
+                       the first J-1 chunks (``_carry_scan``: real chunks
+                       only, powers of a_bar^T by squaring, no padding);
+                       chunk j adds H[j-1] Q with Q[c, n, i] = c a_bar^(i+1)
 
     M^T and W sit side by side in one (C, T, T+N) block, so a single
     batched matmul X [M^T | W] gives Y and S together.  A one-chunk
@@ -318,12 +319,15 @@ def _chunked_scan(
         x[:, :length] = seq
         x = x.reshape(channels, n_chunks, chunk)
 
-    # window j over [0]*(T-1) + K holds K[j-T+1 .. j]; the windows in
-    # reverse order are the rows of M^T
+    # M^T[c, i, j] = K[c, j - i], zero below the diagonal: row i of M^T is
+    # the T-long window of [0]*(T-1) + K that starts at T-1-i, so one view
+    # with a backward row stride reads every row out of the padded kernel
     kernel = np.einsum("cn,kcn->ck", c * b_bar, powers[:chunk])  # (C, T)
     padded = np.zeros((channels, 2 * chunk - 1), dtype=np.float64)
     padded[:, chunk - 1:] = kernel
-    m_t = sliding_window_view(padded, chunk, axis=1)[:, ::-1]    # (C, T, T)
+    item = padded.itemsize
+    m_t = np.ndarray((channels, chunk, chunk), np.float64, padded,
+                     (chunk - 1) * item, (padded.strides[0], -item, item))
     if n_chunks == 1:
         # one chunk carries no state in or out; numpy multiplies one row by
         # the strided view in its own loop, which short scans' bytes come from
@@ -332,17 +336,24 @@ def _chunked_scan(
     n = b_bar.shape[1]
     fused = np.empty((channels, chunk, chunk + n), dtype=np.float64)
     fused[:, :, :chunk] = m_t
-    np.multiply(powers[chunk - 1::-1].transpose(1, 0, 2), b_bar[:, None],
-                out=fused[:, :, chunk:])
+    # W is made in the powers' (T, C, N) layout, over one long axis, and
+    # copied into place once; Q's buffer holds it until Q is made
+    q = np.empty((channels, n, chunk), dtype=np.float64)
+    w = q.reshape(chunk, channels, n)
+    np.multiply(powers[chunk - 1::-1], b_bar, out=w)
+    fused[:, :, chunk:] = w.transpose(1, 0, 2)
     out = x @ fused                                              # (C, J, T+N)
     del fused  # the largest block; free it before the state pass
     ends = out[:, :, chunk:]
 
-    step = np.broadcast_to(powers[chunk], (n_chunks,) + b_bar.shape)
-    states = _affine_scan(step, np.moveaxis(ends, 1, 0))         # (J, C, N)
-    carried = np.zeros_like(ends)
-    carried[:, 1:] = np.moveaxis(states[:-1], 0, 1)
-    q = np.empty((channels, n, chunk), dtype=np.float64)
+    # chunk j starts from the state after chunk j-1, so the last chunk's
+    # end state is never needed
+    states = np.moveaxis(ends[:, :-1], 1, 0).copy()             # (J-1, C, N)
+    _carry_scan(powers[chunk], states)
+    carried = np.empty((channels, n_chunks, n), dtype=np.float64)
+    carried[:, 0] = 0.0
+    carried[:, 1:] = np.moveaxis(states, 0, 1)
+    del states
     np.multiply(powers[1:].transpose(1, 2, 0), c[:, :, None], out=q)
     # H Q into the one array returned, then the in-chunk outputs added
     y = np.matmul(carried, q, out=np.empty((channels, n_chunks, chunk)))
@@ -370,10 +381,10 @@ def ssm_bank_scan(
     k = 0 .. SCAN_CHUNK, are laid out (SCAN_CHUNK+1, C, N) for the chunked
     core (see ``_chunked_scan``).
     """
-    a64 = np.asarray(a, dtype=np.float64)
-    d64 = np.asarray(delta, dtype=np.float64)
-    _, b_bar = zoh(a64, d64[:, None], b)                         # (C, N)
-    z = d64[:, None] * a64
+    d64 = np.asarray(delta, dtype=np.float64)[:, None]
+    z = d64 * np.asarray(a, dtype=np.float64)                    # (C, N)
+    # zoh's b_bar, without the exp(z) it would throw away
+    b_bar = d64 * _phi(z) * np.asarray(b, dtype=np.float64)
     # exp(k z) and a_bar ** k differ in the last bits; saved decoder maps
     # hold the bytes of exp(k z)
     powers = np.arange(SCAN_CHUNK + 1.0)[:, None, None] * z

@@ -55,6 +55,13 @@ _VERSION = 1
 _DTYPE_F32 = 0
 
 
+def _brief(value, limit: int = 24) -> str:
+    """repr(value) for an error line: its first ``limit`` characters plus
+    "…" when it is longer, so untrusted input cannot flood the message."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 class MbtError(ValueError):
     """Malformed MBT container."""
 
@@ -285,7 +292,7 @@ def read_mask_pgm(buf: bytes) -> BinaryMask:
     toks = _pgm_tokens(buf)
     magic, _ = next(toks)
     if magic != "P5":
-        raise PgmError(f"expected binary PGM magic P5, got {magic!r}")
+        raise PgmError(f"expected binary PGM magic P5, got {_brief(magic)}")
     fields = []
     end = 0
     for _ in range(3):
@@ -296,7 +303,7 @@ def read_mask_pgm(buf: bytes) -> BinaryMask:
                 raise ValueError
             fields.append(int(tok))
         except ValueError:  # also a number too long for int() to convert
-            raise PgmError(f"non-numeric header field {tok!r}") from None
+            raise PgmError(f"non-numeric header field {_brief(tok)}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PgmError("image extents must be >= 1")

@@ -697,6 +697,54 @@ def test_hss_stacked_scan_matches_per_direction_oracle(method, directions, h, w)
     assert got.tobytes() == _per_direction_hss(x, p).tobytes()
 
 
+def _take_per_direction_hss(g: Tensor, p: HssParams) -> np.ndarray:
+    """Oracle: the stacked block with every direction's rows gathered by its
+    own ``np.take``, the form before reverse gathers were mirrored."""
+    x = g.array
+    _, h, w = x.shape
+    u = layer_norm(x, p.ln_pre_scale, p.ln_pre_shift)
+    main = silu(dwconv2d(pointwise_conv(u, p.in_weight, p.in_bias), p.dw_weight, p.dw_bias))
+    inner = p.inner_channels
+    main64 = main.reshape(inner, h * w).astype(np.float64)
+    rows = len(p.directions) * inner
+    scheds = [make_schedule(p.method, d, h, w) for d in p.directions]
+    seq = np.empty((rows, h * w), dtype=np.float64)
+    for k, s in enumerate(scheds):
+        np.take(main64, s.order, axis=1, out=seq[k * inner:(k + 1) * inner], mode="clip")
+    y = ssm_bank_scan(p.bank.a.reshape(rows, -1), p.bank.b.reshape(rows, -1),
+                      p.bank.c.reshape(rows, -1), p.bank.delta.reshape(rows), seq)
+    acc = np.zeros((inner, h * w), dtype=np.float64)
+    for k, s in enumerate(scheds):
+        acc += np.take(y[k * inner:(k + 1) * inner], s.inverse, axis=1)
+    scans = acc.astype(np.float32).reshape(inner, h, w)
+    normed = layer_norm(scans, p.ln_post_scale, p.ln_post_shift)
+    gate = silu(pointwise_conv(u, p.gate_weight, p.gate_bias))
+    return pointwise_conv(normed * gate, p.out_weight, p.out_bias) + x
+
+
+_D = ScanDirection
+
+
+# a reverse before its forward partner, a reverse with no partner (alone or
+# beside another pair's forward), all eight, and a non-square sweep pair
+@pytest.mark.parametrize(
+    "method, directions, h, w",
+    [
+        (ScanMethod.HILBERT, (_D.REVERSE, _D.FORWARD), 8, 8),
+        (ScanMethod.HILBERT, (_D.REVERSE,), 8, 8),
+        (ScanMethod.HILBERT, (_D.REVERSE, _D.WH_FORWARD), 8, 8),
+        (ScanMethod.HILBERT, tuple(ScanDirection), 8, 8),
+        (ScanMethod.SWEEP, (_D.FORWARD, _D.REVERSE), 4, 6),
+    ],
+)
+def test_hss_mirrored_gathers_match_take_per_direction(method, directions, h, w):
+    channels = 3
+    p = init_hss_params(Rng(31), channels=channels, state_size=4, expansion=2,
+                        method=method, directions=directions)
+    x = Tensor(np.random.default_rng(32).standard_normal((channels, h, w)).astype(np.float32))
+    assert hss_forward(x, p).array.tobytes() == _take_per_direction_hss(x, p).tobytes()
+
+
 def test_lss_zeroed_branches_reduce_to_fuse():
     cfg = _micro_config(hss_blocks=1)
     params = init_block_params(cfg)

@@ -7,10 +7,12 @@ call cli.main() in-process instead.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 
 from ssmad import cli, synth
 from ssmad.metrics import LabeledScores, aupro
-from ssmad.scans import ScanDirection
+from ssmad.pipeline import MAX_MAP_CELLS
+from ssmad.scans import MAX_GRID_CELLS, ScanDirection
 from ssmad.tensor import Tensor, read_mask_pgm_file, read_tensor_file, write_tensor_file
 
 
@@ -506,6 +509,91 @@ def test_forward_rejects_map_size_below_one(fixture_dirs, tmp_path, size):
     assert "Traceback" not in r.stderr
     assert "--map-size" in r.stderr
     assert not out_map.exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["scan-order", "sweep", "forward", "100000", "100000"], "MAX_GRID_CELLS"),
+        (["forward", "--map-size", "200000"], "MAX_MAP_CELLS"),
+    ],
+    ids=["scan-order", "map-size"],
+)
+def test_oversized_extent_exits_two(fixture_dirs, tmp_path, args, named):
+    if args[0] == "forward":
+        args = [*args, *_pyramid_args(fixture_dirs / "a0"), "--out-map", str(tmp_path / "m.mbt")]
+    r = _run(args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert named in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan-order", "sweep", "forward", "1", str(MAX_GRID_CELLS + 1)],
+        ["forward", "--map-size", str(math.isqrt(MAX_MAP_CELLS) + 1)],
+    ],
+    ids=["scan-order", "map-size"],
+)
+def test_oversized_extent_refused_before_allocating(fixture_dirs, tmp_path, capsys, args):
+    # one cell over the limit: a check made after the first array of that
+    # size would show as a peak of tens of MB
+    if args[0] == "forward":
+        args = [*args, *_pyramid_args(fixture_dirs / "a0"), "--out-map", str(tmp_path / "m.mbt")]
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "MAX_" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def _one_short_error_line(r):
+    lines = r.stderr.splitlines()
+    assert r.returncode == 2 and len(lines) == 1, r.stderr[:400]
+    assert len(lines[0]) < 200, lines[0][:400]
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"stage_depths": "1" * 10_000}, "bad config: expected a list, got '111"),
+        ({"state_size": [2] * 5_000}, "bad config: expected a JSON integer, got [2, 2"),
+        ({"directions": ["x" * 10_000]}, "is not a valid ScanDirection"),
+        ({"scan_method": "y" * 10_000}, "is not a valid ScanMethod"),
+    ],
+    ids=["long-string-list", "long-list-number", "long-direction", "long-method"],
+)
+def test_forward_quotes_a_short_prefix_of_bad_config(fixture_dirs, tmp_path, config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    r = _run(["forward", *_pyramid_args(fixture_dirs / "a0"), "--config", str(path),
+              "--out-map", str(tmp_path / "m.mbt")])
+    line = _one_short_error_line(r)
+    assert named in line and line.count("…") == 1
+
+
+@pytest.mark.parametrize(
+    "blob, named",
+    [
+        (b"P5 " + b"9" * 5000 + b" 1 255\n\x00", "non-numeric header field '999"),
+        (b"P6" * 5000, "expected binary PGM magic P5, got 'P6P6"),
+    ],
+    ids=["long-width", "long-magic"],
+)
+def test_eval_quotes_a_short_prefix_of_bad_mask(fixture_dirs, tmp_path, blob, named):
+    (tmp_path / "mask.pgm").write_bytes(blob)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"samples": [
+        {"score_map": str(fixture_dirs / "a0" / "oracle_map.mbt"), "mask": "mask.pgm",
+         "image_score": 1.0, "image_label": 1},
+    ]}))
+    line = _one_short_error_line(_run(["eval", "--manifest", str(manifest)]))
+    assert named in line and line.count("…") == 1
 
 
 # ---------------------------------------------------------------------------

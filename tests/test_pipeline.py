@@ -4,11 +4,13 @@ and parameter serialization round-trips."""
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssmad.pipeline import (
+    MAX_MAP_CELLS,
     AnomalyScoreMap,
     DecoderConfig,
     FeaturePyramid,
@@ -340,6 +342,24 @@ def test_pipeline_rejects_output_extent_below_one(name, extent):
     params = init_decoder_params(cfg, p.channels)
     with pytest.raises(ValueError, match=f"{name} must be >= 1"):
         pipeline_forward(p, cfg, params, identity_decoder=True, **{name: extent})
+
+
+@pytest.mark.parametrize("out_h, out_w", [(MAX_MAP_CELLS + 1, 1), (2049, 2048), (10**6, 10**6)])
+def test_anomaly_map_refuses_too_many_cells_before_allocating(out_h, out_w):
+    p = _pyramid(seed=26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_MAP_CELLS"):
+            anomaly_map(p, p, out_h=out_h, out_w=out_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_anomaly_map_takes_the_largest_allowed_map():
+    p = _pyramid(seed=26, size=8)
+    assert anomaly_map(p, p, out_h=1, out_w=MAX_MAP_CELLS).scores.shape == (1, MAX_MAP_CELLS)
 
 
 def test_pipeline_outputs_finite_over_seeds():

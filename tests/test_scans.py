@@ -5,12 +5,15 @@ literal matrices beyond the first two orders: a correct curve visits every
 cell exactly once and every consecutive pair of cells must be 4-neighbors.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmad.scans import (
+    MAX_GRID_CELLS,
     MAX_HILBERT_ORDER,
     NonSquareRotation,
     ScanDirection,
@@ -133,6 +136,23 @@ def test_hilbert_rejects_non_square():
 def test_hilbert_rejects_non_power_of_two():
     with pytest.raises(UnsupportedGeometry):
         base_schedule(ScanMethod.HILBERT, 3, 3)
+
+
+@pytest.mark.parametrize("h, w", [(1, MAX_GRID_CELLS + 1), (2049, 2048), (100_000, 100_000)])
+@pytest.mark.parametrize("method", [ScanMethod.SWEEP, ScanMethod.ZIGZAG])
+def test_schedule_refuses_too_many_cells_before_allocating(method, h, w):
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedGeometry, match="MAX_GRID_CELLS"):
+            make_schedule(method, ScanDirection.WH_REVERSE, h, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_schedule_takes_the_largest_allowed_grid():
+    assert base_schedule(ScanMethod.SWEEP, 1, MAX_GRID_CELLS).length == MAX_GRID_CELLS
 
 
 def test_zorder_rejects_non_power_of_two():

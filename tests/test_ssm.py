@@ -20,7 +20,7 @@ from ssmad.ssm import (
     SelectiveInputs,
     SsmDiscrete,
     SsmParams,
-    _affine_scan,
+    _carry_scan,
     build_conv_kernel,
     discretize,
     gradcheck,
@@ -269,6 +269,61 @@ def test_output_bound_for_stable_modes():
 
 
 # ------------------------------------------- bank scan byte-identity oracle
+
+
+def _affine_scan(a, b):
+    """Inclusive prefix of h -> a*h + b along axis 0, h before step 0 is 0.
+
+    Blelloch up/down sweep on a balanced binary tree padded to a power of
+    two with identity elements (a=1, b=0); the tree shape depends only on
+    the sequence length.  The carry the chunked core ran before
+    ``_carry_scan``, kept as its oracle.
+    """
+    length = a.shape[0]
+    n = 1 << max(length - 1, 0).bit_length() if length > 1 else 1
+    acc_a = np.ones((n,) + a.shape[1:], dtype=np.float64)
+    acc_b = np.zeros((n,) + b.shape[1:], dtype=np.float64)
+    acc_a[:length] = a
+    acc_b[:length] = b
+
+    # hi and lo are disjoint strided views, so the in-place updates are safe
+    step = 1
+    while step < n:
+        hi = slice(2 * step - 1, n, 2 * step)
+        lo = slice(step - 1, n, 2 * step)
+        acc_b[hi] += acc_a[hi] * acc_b[lo]
+        acc_a[hi] *= acc_a[lo]
+        step *= 2
+
+    step = n
+    while step >= 2:
+        half = step // 2
+        hi = slice(step + half - 1, n, step)
+        lo = slice(step - 1, n - half, step)
+        acc_b[hi] += acc_a[hi] * acc_b[lo]
+        acc_a[hi] *= acc_a[lo]
+        step = half
+
+    return acc_b[:length]
+
+
+@pytest.mark.parametrize("channels, n", [(3, 4), (17, 1)])
+@pytest.mark.parametrize("chunks", list(range(1, 71)) + [127, 128, 129, 1024])
+def test_carry_bytes_match_padded_tree(chunks, channels, n):
+    # channel 0 never decays (a_bar^T = 1 exactly, so every power is 1),
+    # channel 1 forgets at once (a_bar^T = exp(T delta a) underflows to 0)
+    # and channel 2's powers underflow to 0 from the first squaring
+    rng = np.random.default_rng(chunks * 31 + channels)
+    step = rng.uniform(0.0, 1.0, (channels, n))
+    step[0] = 1.0
+    step[1] = np.exp(SCAN_CHUNK * -50.0)
+    step[2] = 1e-200
+    assert step[1, 0] == 0.0 and step[2, 0] ** 2 == 0.0
+    states = rng.standard_normal((chunks, channels, n))
+    want = _affine_scan(np.broadcast_to(step, states.shape), states)
+    got = states.copy()
+    _carry_scan(step, got)
+    assert got.tobytes() == want.tobytes()
 
 
 def _two_matmul_chunked_scan(powers, b_bar, c, seq):
