@@ -43,7 +43,8 @@ residual connection.
 
 Every convolution is a plain matmul.  A 1x1 layer (``pointwise_conv``, and
 ``conv2d`` with k = 1) is one (out, in) @ (in, H*W) product.  For k > 1 the
-zero-padded taps are first copied into contiguous (C, k*k, H*W) columns;
+zero-padded taps are first copied, in one copy from a strided view of the
+padded map, into contiguous (C, k*k, H*W) columns;
 ``dwconv2d`` multiplies each channel's k*k weights by its own columns and
 ``conv2d`` multiplies (out, in*k*k) weights by all of them at once.
 """
@@ -371,11 +372,13 @@ def _columns(x: np.ndarray, k: int) -> np.ndarray:
     pad = k // 2
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     padded[:, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((c, k * k, h, w), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i * k + j] = padded[:, i:i + h, j:j + w]
-    return cols.reshape(c, k * k, h * w)
+    # taps[c, i, j] is the h x w window of padded at offset (i, j): one view,
+    # copied into the columns at once
+    s0, s1, s2 = padded.strides
+    taps = np.ndarray((c, k, k, h, w), x.dtype, padded, 0, (s0, s1, s2, s1, s2))
+    cols = np.empty((c, k * k, h * w), dtype=x.dtype)
+    cols.reshape(c, k, k, h, w)[...] = taps
+    return cols
 
 
 def _check_kernel(x: np.ndarray, weight: np.ndarray, ndim: int, channel_axis: int) -> int:
