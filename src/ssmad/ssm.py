@@ -29,9 +29,10 @@ layout, then copied in once) share one (C, T, T+N) buffer, and one batched
 matmul X [M^T | W] gives the in-chunk outputs and the chunk-end states
 together.  A float64 sequence whose length is a multiple of SCAN_CHUNK
 (every decoder grid) is reshaped into chunks as it is; any other is first
-copied into a zero-padded float64 array.  The chunk length is a constant rather than a function of
-the input or the machine, and no threads are used, so every output byte
-depends only on the parameters and the sequence.
+copied into a zero-padded float64 array.  The chunk length is a constant
+rather than a function of the input or the machine, and no threads are
+used, so every output byte depends only on the parameters and the
+sequence.
 
 ``selective_scan`` generalises the recurrence to per-step delta_t, b_t, c_t
 (input-dependent parameters); ``selective_scan_backward`` is its analytic
