@@ -348,18 +348,14 @@ def _normalise(
     return z.astype(np.float32)
 
 
-def layer_norm(
-    x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = LN_EPS
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalise over the channel axis at each spatial position."""
-    return _normalise(x, (0,), scale, shift, eps)
+    return _normalise(x, (0,), scale, shift, LN_EPS)
 
 
-def instance_norm(
-    x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = IN_EPS
-) -> np.ndarray:
+def instance_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalise each channel over its spatial extent (biased variance)."""
-    return _normalise(x, (1, 2), scale, shift, eps)
+    return _normalise(x, (1, 2), scale, shift, IN_EPS)
 
 
 def _columns(x: np.ndarray, k: int) -> np.ndarray:
@@ -436,7 +432,8 @@ def conv_block(x: np.ndarray, p: ConvBParams) -> np.ndarray:
 def hss_forward(g: Tensor, p: HssParams, workers: int = 1) -> Tensor:
     """One hybrid-scan block; see the module docstring for the dataflow.
 
-    ``workers`` has no effect: the K directions run as one bank call.
+    ``workers`` is ignored, as the K directions run as one bank call; it
+    stays for perfbench/run.py's ``hss_forward(x, hp, workers=...)``.
     """
     if g.ndim != 3 or g.shape[0] != p.channels:
         raise ValueError(f"expected ({p.channels}, H, W) input, got {g.shape}")
@@ -492,14 +489,13 @@ def _local_branch(x: np.ndarray, p: LocalBranchParams) -> np.ndarray:
     return conv_block(t, p.post)
 
 
-def lss_forward(x: Tensor, p: LssParams, workers: int = 1) -> Tensor:
-    """Cascade + local branches + 1x1 fuse + residual; ``workers`` has no
-    effect."""
+def lss_forward(x: Tensor, p: LssParams) -> Tensor:
+    """Cascade + local branches + 1x1 fuse + residual."""
     if x.ndim != 3 or x.shape[0] != p.channels:
         raise ValueError(f"expected ({p.channels}, H, W) input, got {x.shape}")
     g = x
     for hp in p.hss:
-        g = hss_forward(g, hp, workers=workers)
+        g = hss_forward(g, hp)
     l5 = _local_branch(x.array, p.local5)
     l7 = _local_branch(x.array, p.local7)
     cat = np.concatenate([g.array, l5, l7], axis=0)

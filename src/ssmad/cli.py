@@ -35,12 +35,16 @@ from .pipeline import (
     MAX_MAP_CELLS,
     DecoderConfig,
     FeaturePyramid,
+    anomaly_map,
     init_decoder_params,
     load_decoder_params,
+    mse_loss,
     pipeline_forward,
     save_decoder_params,
 )
-from .scans import ScanDirection, ScanMethod, UnsupportedGeometry, make_schedule
+from .scans import (
+    MAX_GRID_CELLS, ScanDirection, ScanMethod, UnsupportedGeometry, make_schedule,
+)
 from .ssm import (
     SsmDiscrete,
     discretize,
@@ -81,6 +85,16 @@ def _require_positive(**options: int) -> None:
     for name, value in options.items():
         if value < 1:
             raise CliError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
+def _require_bank_cells(option: str, length: int, channels: int) -> None:
+    """Reject a sequence length whose bank of ``channels`` rows would hold
+    more than MAX_GRID_CELLS cells."""
+    if channels * length > MAX_GRID_CELLS:
+        raise CliError(
+            f"--{option} must be at most {MAX_GRID_CELLS // channels}, "
+            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} over {channels} channels; got {length}"
+        )
 
 
 def _read_json(path: str, what: str):
@@ -227,6 +241,7 @@ def cmd_ssm_check(args) -> int:
         instances=args.instances,
         grad_instances=args.grad_instances,
     )
+    _require_bank_cells("max-len", args.max_len, 8)  # _check_bank's most channels
     rng = Rng(args.seed)
     report: dict = {"seed": args.seed, "max_len": args.max_len}
     for key, tolerance, count_option, case in _SSM_CHECKS:
@@ -349,15 +364,13 @@ def cmd_forward(args) -> int:
         raise CliError(f"cannot load parameters: {exc}") from None
     if args.save_params:
         save_decoder_params(args.save_params, params)
+    size = args.map_size
     try:
-        loss, amap = pipeline_forward(
-            pyramid,
-            cfg,
-            params,
-            out_h=args.map_size,
-            out_w=args.map_size,
-            identity_decoder=args.identity_decoder,
-        )
+        if args.identity_decoder:  # debug mode: the input is its own reconstruction
+            loss = mse_loss(pyramid, pyramid)
+            amap = anomaly_map(pyramid, pyramid, size, size)
+        else:
+            loss, amap = pipeline_forward(pyramid, cfg, params, out_h=size, out_w=size)
     except UnsupportedGeometry as exc:
         raise CliError(str(exc)) from None
     write_tensor_file(args.out_map, Tensor(amap.scores))
@@ -488,6 +501,11 @@ def cmd_bench(args) -> int:
     if not sizes or min(sizes) < 1:
         raise CliError(f"--sizes must be positive integers, got {args.sizes!r}")
     _require_positive(repeats=args.repeats)
+    # the decoder's scan on decode's stage-2 bank shape, 256 channels with
+    # state size 4, where per-call overhead rather than arithmetic bounds
+    # it; timed per channel-step
+    channels = 256
+    _require_bank_cells("sizes", max(sizes), channels)
     rng = Rng(args.seed)
     rows = ["kernel,size,median_ns_per_elem"]
     n = 8
@@ -496,10 +514,6 @@ def cmd_bench(args) -> int:
         b_bar=rng.uniform(n, -1.0, 1.0),
         c=rng.uniform(n, -1.0, 1.0),
     )
-    # the decoder's scan on decode's stage-2 bank shape, 256 channels with
-    # state size 4, where per-call overhead rather than arithmetic bounds
-    # it; timed per channel-step
-    channels = 256
     a, b, c, delta = _draw_bank(rng, channels, 4)
     for size in sizes:
         x = np.sin(np.arange(size) * 0.1) * 0.5

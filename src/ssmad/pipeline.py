@@ -239,7 +239,6 @@ def init_decoder_params(
             local_kernels=cfg.local_kernels,
             scan_method=cfg.scan_method,
             directions=cfg.directions,
-            seed=cfg.seed,
         )
         stages.append(
             tuple(init_block_params(block_cfg, rng) for _ in range(depth))
@@ -251,20 +250,14 @@ def init_decoder_params(
     return DecoderParams(fuse=fuse, stages=tuple(stages), adapters=adapters)
 
 
-def decoder_forward(
-    fused: Tensor,
-    cfg: DecoderConfig,
-    params: DecoderParams,
-    workers: int = 1,
-) -> FeaturePyramid:
-    """Reconstruct a pyramid whose shapes mirror the encoder's; ``workers``
-    has no effect."""
+def decoder_forward(fused: Tensor, params: DecoderParams) -> FeaturePyramid:
+    """Reconstruct a pyramid whose shapes mirror the encoder's."""
     if fused.ndim != 3:
         raise ValueError("fused input must be (C, H, W)")
 
     def run_stage(x: Tensor, stage: tuple[LssParams, ...]) -> Tensor:
         for module in stage:
-            x = lss_forward(x, module, workers=workers)
+            x = lss_forward(x, module)
         return x
 
     t = run_stage(fused, params.stages[0])
@@ -310,10 +303,11 @@ def _cosine_distance_map(e: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - cos, 0.0, None)
 
 
-def _gaussian_smooth(x: np.ndarray, size: int = SMOOTH_KERNEL, sigma: float = SMOOTH_SIGMA) -> np.ndarray:
+def _gaussian_smooth(x: np.ndarray) -> np.ndarray:
     """Truncated, renormalised Gaussian; border weights renormalised too."""
-    half = size // 2
-    g = np.exp(-(np.arange(size) - half) ** 2 / (2.0 * sigma * sigma))
+    half = SMOOTH_KERNEL // 2
+    steps = np.arange(SMOOTH_KERNEL) - half
+    g = np.exp(-steps ** 2 / (2.0 * SMOOTH_SIGMA * SMOOTH_SIGMA))
     kernel = np.outer(g, g)
     kernel /= kernel.sum()
     h, w = x.shape
@@ -371,17 +365,12 @@ def pipeline_forward(
     params: DecoderParams,
     out_h: int | None = None,
     out_w: int | None = None,
-    identity_decoder: bool = False,
     workers: int = 1,
 ) -> tuple[float, AnomalyScoreMap]:
-    """Fuse, decode (or echo the input when identity_decoder is set, a debug
-    mode in which the loss is exactly zero), and score; ``workers`` has no
-    effect."""
-    if identity_decoder:
-        recon = p
-    else:
-        fused = hfpn_fuse(p, params.fuse)
-        recon = decoder_forward(fused, cfg, params, workers=workers)
+    """Fuse, decode and score.  ``cfg`` and ``workers`` are ignored; they
+    stay for perfbench/workloads.py's ``pipeline_forward(pyr, cfg, params,
+    workers=...)``."""
+    recon = decoder_forward(hfpn_fuse(p, params.fuse), params)
     loss = mse_loss(p, recon)
     amap = anomaly_map(p, recon, out_h=out_h, out_w=out_w)
     return loss, amap

@@ -59,11 +59,12 @@ __all__ = [
     "scatter_sequence",
 ]
 
-MAX_HILBERT_ORDER = 8
 # largest h * w a schedule may cover (a 2048 x 2048 grid); its order and
 # inverse then take 64 MB, and larger extents are refused before any array
 # is made
 MAX_GRID_CELLS = 1 << 22
+# largest curve order n whose 2**n x 2**n grid MAX_GRID_CELLS admits
+MAX_HILBERT_ORDER = (MAX_GRID_CELLS.bit_length() - 1) // 2
 
 
 class UnsupportedGeometry(ValueError):
@@ -117,7 +118,7 @@ class ScanSchedule:
     height: int
     width: int
     order: np.ndarray
-    inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:

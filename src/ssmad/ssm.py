@@ -486,15 +486,14 @@ def _loss(s: SelectiveInputs, dy: np.ndarray) -> float:
     return float(dy @ y)
 
 
-def gradcheck(
-    length: int, state_size: int, seed: int, step: float = 1e-4
-) -> dict:
+def gradcheck(length: int, state_size: int, seed: int) -> dict:
     """Compare analytic gradients against central differences.
 
-    Every component of every input field is perturbed by +-step; the
+    Every component of every input field is perturbed by +-1e-4; the
     relative error of a pair (g, f) is |g - f| / max(|g|, |f|, 1e-6).
     Returns a report dict that is identical run to run for a given seed.
     """
+    step = 1e-4
     rng = Rng(seed)
     s = random_selective_inputs(length, state_size, rng)
     dy = rng.uniform(length, -1.0, 1.0)

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .pipeline import FeaturePyramid
+from .pipeline import MAX_MAP_CELLS, FeaturePyramid
 from .tensor import (
     BinaryMask,
     Rng,
@@ -51,13 +51,19 @@ def _downsample_mask(bits: np.ndarray, factor: int) -> np.ndarray:
 
 
 def make_fixture(kind: str, size: int, channels: int, seed: int):
-    """Returns (pyramid, mask, oracle_map).  size must be divisible by 4."""
+    """Returns (pyramid, mask, oracle_map).  size must be divisible by 4,
+    and the top scale's channels * size**2 at most MAX_MAP_CELLS."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if size % 4 or size < 4:
         raise ValueError("size must be a multiple of 4, at least 4")
     if channels < 1:
         raise ValueError("channels must be >= 1")
+    if channels * size * size > MAX_MAP_CELLS:
+        raise ValueError(
+            f"top scale {channels}x{size}x{size} has more than "
+            f"MAX_MAP_CELLS = {MAX_MAP_CELLS} cells"
+        )
 
     rng = Rng(seed)
     scales = []

@@ -55,11 +55,11 @@ _VERSION = 1
 _DTYPE_F32 = 0
 
 
-def _brief(value, limit: int = 24) -> str:
-    """repr(value) for an error line: its first ``limit`` characters plus
-    "…" when it is longer, so untrusted input cannot flood the message."""
+def _brief(value) -> str:
+    """repr(value) for an error line: its first 24 characters plus "…" when
+    it is longer, so untrusted input cannot flood the message."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "…"
+    return text if len(text) <= 24 else text[:24] + "…"
 
 
 class MbtError(ValueError):
@@ -119,15 +119,6 @@ class Tensor:
     def data(self) -> np.ndarray:
         """Flat row-major float32 view."""
         return self.array.reshape(-1)
-
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float32))
-
-    @classmethod
-    def from_flat(cls, shape, values) -> "Tensor":
-        arr = np.asarray(values, dtype=np.float32).reshape(shape)
-        return cls(arr)
 
     def reshape(self, shape) -> "Tensor":
         return Tensor(self.array.reshape(shape))

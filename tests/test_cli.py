@@ -511,17 +511,32 @@ def test_forward_rejects_map_size_below_one(fixture_dirs, tmp_path, size):
     assert not out_map.exists()
 
 
+def _with_outputs(args, fixture_dirs, tmp_path):
+    """The required inputs and outputs of a forward or synth command line."""
+    if args[0] == "forward":
+        return [*args, *_pyramid_args(fixture_dirs / "a0"), "--out-map", str(tmp_path / "m.mbt")]
+    if args[0] == "synth":
+        return [*args, "--out", str(tmp_path / "fixture")]
+    return args
+
+
 @pytest.mark.parametrize(
     "args, named",
     [
         (["scan-order", "sweep", "forward", "100000", "100000"], "MAX_GRID_CELLS"),
         (["forward", "--map-size", "200000"], "MAX_MAP_CELLS"),
+        (["synth", "--kind", "normal", "--size", "100000"], "MAX_MAP_CELLS"),
+        (["synth", "--kind", "normal", "--size", "16", "--channels", "100000000"],
+         "MAX_MAP_CELLS"),
+        (["bench", "--sizes", "10000000", "--repeats", "1"], "MAX_GRID_CELLS"),
+        (["ssm-check", "--max-len", "1000000000", "--instances", "1", "--grad-instances", "1"],
+         "MAX_GRID_CELLS"),
     ],
-    ids=["scan-order", "map-size"],
+    ids=["scan-order", "map-size", "synth-size", "synth-channels", "bench-sizes",
+         "ssm-check-max-len"],
 )
 def test_oversized_extent_exits_two(fixture_dirs, tmp_path, args, named):
-    if args[0] == "forward":
-        args = [*args, *_pyramid_args(fixture_dirs / "a0"), "--out-map", str(tmp_path / "m.mbt")]
+    args = _with_outputs(args, fixture_dirs, tmp_path)
     r = _run(args)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
@@ -533,14 +548,22 @@ def test_oversized_extent_exits_two(fixture_dirs, tmp_path, args, named):
     [
         ["scan-order", "sweep", "forward", "1", str(MAX_GRID_CELLS + 1)],
         ["forward", "--map-size", str(math.isqrt(MAX_MAP_CELLS) + 1)],
+        # synth sizes are multiples of 4
+        ["synth", "--kind", "normal", "--size", str(math.isqrt(MAX_MAP_CELLS) + 4),
+         "--channels", "1"],
+        ["synth", "--kind", "normal", "--size", "16", "--channels",
+         str(MAX_MAP_CELLS // 256 + 1)],
+        # bench scans 256 channels, ssm-check's bank case up to 8
+        ["bench", "--sizes", str(MAX_GRID_CELLS // 256 + 1)],
+        ["ssm-check", "--max-len", str(MAX_GRID_CELLS // 8 + 1)],
     ],
-    ids=["scan-order", "map-size"],
+    ids=["scan-order", "map-size", "synth-size", "synth-channels", "bench-sizes",
+         "ssm-check-max-len"],
 )
 def test_oversized_extent_refused_before_allocating(fixture_dirs, tmp_path, capsys, args):
-    # one cell over the limit: a check made after the first array of that
+    # one step over the limit: a check made after the first array of that
     # size would show as a peak of tens of MB
-    if args[0] == "forward":
-        args = [*args, *_pyramid_args(fixture_dirs / "a0"), "--out-map", str(tmp_path / "m.mbt")]
+    args = _with_outputs(args, fixture_dirs, tmp_path)
     tracemalloc.start()
     try:
         code = cli.main(args)

@@ -147,7 +147,7 @@ def test_decoder_reproduces_pyramid_shapes():
     cfg = _micro_cfg()
     params = init_decoder_params(cfg, p.channels)
     fused = hfpn_fuse(p, params.fuse)
-    recon = decoder_forward(fused, cfg, params)
+    recon = decoder_forward(fused, params)
     assert recon.scales[0].shape == p.scales[0].shape
     assert recon.scales[1].shape == p.scales[1].shape
     assert recon.scales[2].shape == p.scales[2].shape
@@ -158,20 +158,8 @@ def test_decoder_deterministic():
     cfg = _micro_cfg()
     params = init_decoder_params(cfg, p.channels)
     fused = hfpn_fuse(p, params.fuse)
-    a = decoder_forward(fused, cfg, params)
-    b = decoder_forward(fused, cfg, params)
-    for sa, sb in zip(a.scales, b.scales):
-        assert sa.array.tobytes() == sb.array.tobytes()
-
-
-def test_decoder_worker_bit_identity():
-    p = _pyramid(seed=7)
-    cfg = _micro_cfg(directions=(ScanDirection.FORWARD, ScanDirection.REVERSE,
-                                 ScanDirection.WH_FORWARD, ScanDirection.WH_REVERSE))
-    params = init_decoder_params(cfg, p.channels)
-    fused = hfpn_fuse(p, params.fuse)
-    a = decoder_forward(fused, cfg, params, workers=1)
-    b = decoder_forward(fused, cfg, params, workers=4)
+    a = decoder_forward(fused, params)
+    b = decoder_forward(fused, params)
     for sa, sb in zip(a.scales, b.scales):
         assert sa.array.tobytes() == sb.array.tobytes()
 
@@ -325,23 +313,20 @@ def test_pipeline_forward_worker_independent():
     assert map1.scores.tobytes() == map2.scores.tobytes()
 
 
-def test_pipeline_identity_decoder_zero_loss():
+def test_identical_pyramids_give_zero_loss_and_map():
+    # what `ssmad forward --identity-decoder` computes
     p = _pyramid(seed=24)
-    cfg = _micro_cfg()
-    params = init_decoder_params(cfg, p.channels)
-    loss, amap = pipeline_forward(p, cfg, params, identity_decoder=True)
+    loss, amap = mse_loss(p, p), anomaly_map(p, p)
     assert loss == 0.0
     np.testing.assert_allclose(amap.scores, 0.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("extent", [0, -3])
 @pytest.mark.parametrize("name", ["out_h", "out_w"])
-def test_pipeline_rejects_output_extent_below_one(name, extent):
+def test_anomaly_map_rejects_output_extent_below_one(name, extent):
     p = _pyramid(seed=25)
-    cfg = _micro_cfg()
-    params = init_decoder_params(cfg, p.channels)
     with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-        pipeline_forward(p, cfg, params, identity_decoder=True, **{name: extent})
+        anomaly_map(p, p, **{name: extent})
 
 
 @pytest.mark.parametrize("out_h, out_w", [(MAX_MAP_CELLS + 1, 1), (2049, 2048), (10**6, 10**6)])

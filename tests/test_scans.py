@@ -151,8 +151,13 @@ def test_schedule_refuses_too_many_cells_before_allocating(method, h, w):
     assert peak < 1 << 20
 
 
-def test_schedule_takes_the_largest_allowed_grid():
-    assert base_schedule(ScanMethod.SWEEP, 1, MAX_GRID_CELLS).length == MAX_GRID_CELLS
+@pytest.mark.parametrize(
+    "method, h, w",
+    # the Hilbert order limit follows MAX_GRID_CELLS; 512 x 512 is order 9
+    [(ScanMethod.SWEEP, 1, MAX_GRID_CELLS), (ScanMethod.HILBERT, 512, 512)],
+)
+def test_schedule_takes_the_largest_allowed_grid(method, h, w):
+    assert base_schedule(method, h, w).length == h * w
 
 
 def test_zorder_rejects_non_power_of_two():
