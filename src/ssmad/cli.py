@@ -20,6 +20,7 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -108,17 +109,48 @@ def _read_json(path: str, what: str):
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+    _write_pieces(path, (text,))
+
+
+def _write_pieces(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the strings of ``pieces`` one after another to ``path``, or to
+    stdout followed by a newline when the text does not end with one."""
+    if path is not None:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+        return
+    last = ""
+    for piece in pieces:
+        sys.stdout.write(piece)
+        last = piece or last
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
 # scan-order
+
+
+# cells of the visit order formatted per piece of scan-order output
+_ORDER_PIECE = 1 << 14
+
+
+def _order_json(order: np.ndarray) -> Iterator[str]:
+    """json.dumps of the order as a list of ints, a piece at a time."""
+    yield "["
+    for start in range(0, order.size, _ORDER_PIECE):
+        cells = ", ".join(map(str, order[start : start + _ORDER_PIECE].tolist()))
+        yield cells if start == 0 else ", " + cells
+    yield "]"
+
+
+def _order_csv(order: np.ndarray, width: int) -> Iterator[str]:
+    """One "step,row,col" line per step after the header, a piece at a time."""
+    yield "step,row,col\n"
+    for start in range(0, order.size, _ORDER_PIECE):
+        rows, cols = np.divmod(order[start : start + _ORDER_PIECE], width)
+        steps = range(start, start + rows.size)
+        yield "".join(map("{},{},{}\n".format, steps, rows.tolist(), cols.tolist()))
 
 
 def cmd_scan_order(args) -> int:
@@ -129,13 +161,10 @@ def cmd_scan_order(args) -> int:
     except UnsupportedGeometry as exc:
         raise CliError(str(exc)) from None
     if args.format == "json":
-        text = json.dumps([int(v) for v in sched.order])
+        pieces = _order_json(sched.order)
     else:
-        lines = ["step,row,col"]
-        for step, cell in enumerate(sched.order):
-            lines.append(f"{step},{cell // sched.width},{cell % sched.width}")
-        text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
+        pieces = _order_csv(sched.order, sched.width)
+    _write_pieces(args.out, pieces)
     return EXIT_OK
 
 

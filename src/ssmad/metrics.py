@@ -29,6 +29,25 @@ once for all four.  Ground-truth regions are labelled
 without a per-pixel loop: each foreground pixel takes the smallest flat
 index in its region by min-label propagation over 8-neighbour pairs with
 pointer jumping.
+
+The sweep and the metrics' temporaries live in rows of one float64 block
+of five rows of n + 1 values, made once per LabeledScores of n scores.
+The metrics of one evaluate reuse its pages instead of each allocating,
+freeing and faulting in arrays of n values of their own:
+
+  tp    0, then the cumulative true positives at each tie-group end; kept
+  fpr   0, then the false-positive rate (ends + 1 - tp) / negatives at
+        each end; kept, and shared by auroc and aupro
+  work  scratch: the labels in sorted order for the sweep; tpr, recall
+        then precision, or 2 tp; aupro's per-pixel region sizes, its hit
+        counts per tie group and the abscissae of its last trapezoid
+  sums  scratch: the sweep's cumsum; each metric's terms before their sum;
+        aupro's region sizes in sorted order
+  pro   aupro's overlap curve, 0 first
+
+Each value has the bytes of the plain formula on fresh arrays: counts are
+exact integers in float64, and _trapezoid repeats np.trapezoid's
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -38,8 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from .tensor import BinaryMask, Tensor
 
@@ -76,9 +93,17 @@ def _read_only(given, dtype) -> np.ndarray:
     return arr
 
 
+# rows of LabeledScores._block
+_TP, _FPR, _WORK, _SUMS, _PRO = range(5)
+
+
 @dataclass(frozen=True)
 class LabeledScores:
-    """Parallel read-only vectors of scores and 0/1 labels."""
+    """Parallel read-only vectors of scores and 0/1 labels.
+
+    The metrics of one instance share its sort and the rows of its one
+    scratch block (see the module docstring).  The rows are shared
+    scratch, so one instance must not be used from two threads at once."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -98,29 +123,57 @@ class LabeledScores:
 
     @cached_property
     def _tie_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Descending order and tie-group ends: the one sort of these scores."""
-        order, ends = _tie_groups(self.scores)
-        order.flags.writeable = ends.flags.writeable = False
-        return order, ends
+        """Descending order and tie-group ends: the one sort of these scores.
+        Both stay writeable, because np.take copies an index array that is
+        not."""
+        return _tie_groups(self.scores)
 
     @cached_property
-    def _tie_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative TP/FP after each descending unique-score group.  The
-        arrays it is computed from cannot change, so the one sweep serves
-        every metric of these scores."""
+    def _block(self) -> np.ndarray:
+        """The rows tp, fpr, work, sums and pro, n + 1 values each."""
+        return np.empty((5, self.scores.size + 1))
+
+    @cached_property
+    def _tie_counts(self) -> np.ndarray:
+        """The tp row: 0, then the cumulative true positives after each
+        descending tie group.  The arrays it is computed from cannot change,
+        so the one sweep serves every metric of these scores."""
         order, ends = self._tie_order
-        tp = np.cumsum(self.labels[order])[ends].astype(np.float64)
-        fp = (ends + 1) - tp
-        tp.flags.writeable = fp.flags.writeable = False
-        return tp, fp
+        hits = _gather(self.labels, order, self._row(_WORK, order.size).view(np.int64))
+        cumulative = self._row(_SUMS, order.size)
+        cumulative[:] = hits
+        np.cumsum(cumulative, out=cumulative)
+        tp = self._row(_TP, ends.size + 1)
+        tp[0] = 0.0
+        np.take(cumulative, ends, out=tp[1:], mode="clip")
+        tp.flags.writeable = False
+        return tp
 
-    @property
+    @cached_property
+    def _fpr(self) -> np.ndarray:
+        """The fpr row: 0, then false positives over negatives after each
+        tie group.  Callers check that negatives is not 0."""
+        ends, tp = self._tie_order[1], self._tie_counts
+        fpr = self._row(_FPR, tp.size)
+        fpr[0] = 0.0
+        fp = fpr[1:]
+        np.add(ends, 1.0, out=fp)
+        fp -= tp[1:]
+        fp /= self.negatives
+        fpr.flags.writeable = False
+        return fpr
+
+    def _row(self, row: int, size: int) -> np.ndarray:
+        """The first ``size`` values of one row of the block."""
+        return self._block[row, :size]
+
+    @cached_property
     def positives(self) -> int:
-        return int(self.labels.sum())
+        return int(np.count_nonzero(self.labels))
 
-    @property
+    @cached_property
     def negatives(self) -> int:
-        return int(self.labels.size - self.labels.sum())
+        return self.labels.size - self.positives
 
 
 @dataclass(frozen=True)
@@ -213,14 +266,37 @@ class MetricsReport:
 def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending sort order and the last sorted index of each tie group.
 
-    The sort need not be stable: every caller reads integer cumulative counts
-    at tie-group ends only, and the count at the end of a group is the same
-    whatever order the group's members were sorted in."""
-    order = np.argsort(-scores)
-    sorted_scores = scores[order]
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.concatenate([boundary, [sorted_scores.size - 1]])
-    return order, ends
+    The order is the ascending sort read backwards.  It need not be stable:
+    every caller reads integer cumulative counts at tie-group ends only, and
+    the count at the end of a group is the same whatever order the group's
+    members were sorted in."""
+    ascending = np.argsort(scores)
+    order = ascending[::-1]
+    descending = scores[ascending][::-1]
+    last = np.empty(scores.size, dtype=bool)
+    np.not_equal(descending[:-1], descending[1:], out=last[:-1])
+    last[-1] = True
+    return order, np.flatnonzero(last)
+
+
+def _gather(values: np.ndarray, order: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[order], as a view of ``out`` read backwards.  Reading
+    _tie_groups' order backwards gives the contiguous ascending sort, so
+    np.take copies no index array."""
+    np.take(values, order[::-1], out=out, mode="clip")
+    return out[::-1]
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray, d: np.ndarray, t: np.ndarray) -> float:
+    """np.trapezoid(y, x) with its operations, in its order, written into
+    the rows d and t; d may be y's own row."""
+    m = x.size - 1
+    d, t = d[:m], t[:m]
+    np.add(y[1:], y[:-1], out=t)
+    np.subtract(x[1:], x[:-1], out=d)
+    d *= t
+    d /= 2.0
+    return float(np.add.reduce(d))
 
 
 def auroc(ls: LabeledScores) -> float:
@@ -228,29 +304,33 @@ def auroc(ls: LabeledScores) -> float:
     pos, neg = ls.positives, ls.negatives
     if pos == 0 or neg == 0:
         raise MetricPreconditionError("auroc needs both classes present")
-    tp, fp = ls._tie_counts
-    tpr = np.concatenate([[0.0], tp / pos])
-    fpr = np.concatenate([[0.0], fp / neg])
-    return float(_trapezoid(tpr, fpr))
+    tp, fpr = ls._tie_counts, ls._fpr
+    tpr = np.divide(tp, pos, out=ls._row(_WORK, tp.size))
+    return _trapezoid(tpr, fpr, d=tpr, t=ls._row(_SUMS, tp.size))
 
 
 def average_precision(ls: LabeledScores) -> float:
     pos = ls.positives
     if pos == 0:
         raise MetricPreconditionError("average precision needs a positive")
-    tp, fp = ls._tie_counts
-    recall = tp / pos
-    precision = tp / (tp + fp)
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev) * precision))
+    ends, tp = ls._tie_order[1], ls._tie_counts
+    recall = np.divide(tp, pos, out=ls._row(_WORK, tp.size))
+    gain = np.subtract(recall[1:], recall[:-1], out=ls._row(_SUMS, ends.size))
+    # tp + fp is ends + 1 exactly; recall is spent, so its row takes it
+    precision = np.add(ends, 1.0, out=ls._row(_WORK, ends.size))
+    np.divide(tp[1:], precision, out=precision)
+    gain *= precision
+    return float(np.add.reduce(gain))
 
 
 def f1_max(ls: LabeledScores) -> float:
     pos = ls.positives
     if pos == 0:
         raise MetricPreconditionError("f1_max needs a positive")
-    tp, fp = ls._tie_counts
-    f1 = 2.0 * tp / (tp + fp + pos)
+    ends, tp = ls._tie_order[1], ls._tie_counts
+    # tp + fp + pos, exact in float64
+    f1 = np.add(ends, float(1 + pos), out=ls._row(_SUMS, ends.size))
+    np.divide(np.multiply(2.0, tp[1:], out=ls._row(_WORK, ends.size)), f1, out=f1)
     return float(f1.max())
 
 
@@ -270,6 +350,8 @@ def connected_components(mask: BinaryMask) -> RegionSet:
     """
     h, w = mask.height, mask.width
     flat = np.flatnonzero(mask.bits)
+    if flat.size == 0:
+        return RegionSet(height=h, width=w, regions=())
     ids = np.full((h, w), -1, dtype=np.int64)
     ids.flat[flat] = np.arange(flat.size)
     # each 8-neighbour pair once: right, down-left, down, down-right
@@ -299,8 +381,7 @@ def connected_components(mask: BinaryMask) -> RegionSet:
             lab = jumped
     order = np.argsort(lab, kind="stable")
     starts = np.flatnonzero(np.diff(lab[order])) + 1
-    regions = np.split(flat[order], starts) if flat.size else []
-    return RegionSet(height=h, width=w, regions=tuple(regions))
+    return RegionSet(height=h, width=w, regions=tuple(np.split(flat[order], starts)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,40 +409,49 @@ def aupro(
     bits = [m.bits.reshape(-1) for m in masks]
     if not bits or not np.array_equal(pixels.labels, np.concatenate(bits)):
         raise ValueError("pooled labels are not the masks' bits")
-    sizes = np.zeros(pixels.labels.size, dtype=np.int64)  # 0 for a normal pixel
-    region_sizes = []
+    regions = []  # (offset of the region's map in the pool, its flat indices)
     start = 0
     for m in masks:
-        for region in connected_components(m).regions:
-            sizes[start + region] = region.size
-            region_sizes.append(region.size)
+        regions += [(start, region) for region in connected_components(m).regions]
         start += m.bits.size
-    if not region_sizes:
+    if not regions:
         raise MetricPreconditionError("aupro needs at least one anomalous region")
     if pixels.negatives == 0:
         raise MetricPreconditionError("aupro needs at least one normal pixel")
 
     order, ends = pixels._tie_order
     # the sweep's false positives are the size-0 pixels at or above each threshold
-    _, fp = pixels._tie_counts
-    fpr = np.concatenate([[0.0], fp / pixels.negatives])
+    fpr = pixels._fpr
     # points at or below fpr_limit, then the crossing of the next segment:
     # pro is read up to index inside, so the overlap sums stop at the
     # tie-group end of that point
     inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
     kept = ends[:inside]
-    head = sizes[order[:kept[-1] + 1]]
-    overlap = np.zeros(kept.size)
-    for s in np.unique(region_sizes):
-        overlap += np.cumsum(head == s)[kept] / s
-    pro = np.concatenate([[0.0], overlap / len(region_sizes)])
+    sizes = pixels._row(_WORK, order.size).view(np.int64)  # 0 for a normal pixel
+    sizes[:] = 0
+    for offset, region in regions:
+        sizes[offset + region] = region.size
+    k = kept[-1] + 1
+    head = _gather(sizes, order[:k], pixels._row(_SUMS, k).view(np.int64))
+    pro = pixels._row(_PRO, kept.size + 1)
+    pro[:] = 0.0
+    overlap, hits = pro[1:], pixels._row(_WORK, kept.size)  # sizes are spent
+    for s in np.unique([region.size for _, region in regions]):
+        # size-s pixels per tie group up to kept, then counted up to each end
+        hits[:] = 0.0
+        np.add.at(hits, np.searchsorted(kept, np.flatnonzero(head == s)), 1.0)
+        np.cumsum(hits, out=hits)
+        hits /= s
+        overlap += hits
+    pro /= len(regions)
 
-    x, y = fpr[:inside], pro[:inside]
+    x = fpr[:inside]
     if inside < fpr.size:
-        seg = slice(inside - 1, inside + 1)
-        x = np.append(x, fpr_limit)
-        y = np.append(y, np.interp(fpr_limit, fpr[seg], pro[seg]))
-    return float(_trapezoid(y, x)) / fpr_limit
+        crossing = np.interp(fpr_limit, fpr[inside - 1 : inside + 1], pro[inside - 1 :])
+        x = pixels._row(_WORK, inside + 1)
+        x[:inside] = fpr[:inside]
+        x[inside], pro[inside] = fpr_limit, crossing
+    return _trapezoid(pro[: x.size], x, d=pro, t=pixels._row(_SUMS, x.size)) / fpr_limit
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from ssmad import cli, synth
 from ssmad.metrics import LabeledScores, aupro
 from ssmad.pipeline import MAX_MAP_CELLS
-from ssmad.scans import MAX_GRID_CELLS, ScanDirection
+from ssmad.scans import MAX_GRID_CELLS, ScanDirection, ScanMethod, make_schedule
 from ssmad.tensor import Tensor, read_mask_pgm_file, read_tensor_file, write_tensor_file
 
 
@@ -124,6 +124,57 @@ def test_scan_order_out_file(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ""
     assert json.loads(out.read_text()) == [0, 1, 3, 6, 4, 2, 5, 7, 8]
+
+
+def _scan_order_whole_text(sched, fmt):
+    """scan-order's text built in one piece, as the command first wrote it."""
+    if fmt == "json":
+        return json.dumps([int(v) for v in sched.order])
+    lines = ["step,row,col"]
+    for step, cell in enumerate(sched.order):
+        lines.append(f"{step},{cell // sched.width},{cell % sched.width}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "method, direction, h, w",
+    [
+        ("hilbert", "forward", 2, 2),
+        ("hilbert", "reverse", 256, 256),
+        ("sweep", "wh-forward", 3, 5),
+        ("sweep", "forward", 1, 40001),
+        ("sweep", "wh-reverse", 40001, 1),
+        ("sweep", "forward", 1, 1),
+        ("zorder", "forward", 1, 32768),
+        ("zorder", "wh-forward", 32768, 1),
+        ("zorder", "reverse", 64, 128),
+    ],
+)
+def test_scan_order_pieces_match_whole_text(tmp_path, capsys, fmt, method, direction, h, w):
+    sched = make_schedule(ScanMethod(method), ScanDirection(direction), h, w)
+    want = _scan_order_whole_text(sched, fmt)
+    out = tmp_path / "order.txt"
+    args = ["scan-order", method, direction, str(h), str(w), "--format", fmt]
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == (want if want.endswith("\n") else want + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_order_output_memory_stays_near_the_schedule(tmp_path, fmt):
+    # the schedule is made (and cached) first: only the writing is measured
+    sched = make_schedule(ScanMethod.HILBERT, ScanDirection.FORWARD, 512, 512)
+    args = ["scan-order", "hilbert", "forward", "512", "512", "--format", fmt]
+    tracemalloc.start()
+    try:
+        code = cli.main([*args, "--out", str(tmp_path / "order.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= sched.order.nbytes + sched.inverse.nbytes
 
 
 # ---------------------------------------------------------------------------

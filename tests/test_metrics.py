@@ -8,6 +8,8 @@
 """
 
 import json
+import tracemalloc
+import warnings
 from collections import Counter, deque
 
 import numpy as np
@@ -32,6 +34,7 @@ from ssmad.metrics import (
 )
 from ssmad.tensor import BinaryMask, Tensor
 
+_np_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 # ---------------------------------------------------------------- oracles
 
@@ -342,6 +345,154 @@ def test_evaluate_tie_order_free_matches_stable_sort(seed, monkeypatch):
     assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
+# --------------------------------------------- byte identity of the sweep
+
+
+def _parent_curve_metrics(maps, masks, fpr_limit):
+    """auroc, average_precision, f1_max and aupro of the pooled pixels by
+    the plain formulas the block rows replace: argsort of the negated
+    scores, an int64 cumsum, a leading zero by concatenate and np.trapezoid.
+    A metric whose precondition fails is missing from the dict."""
+    scores = np.concatenate([t.reshape(-1) for t in maps]).astype(np.float64)
+    labels = np.concatenate([m.reshape(-1) for m in masks]).astype(np.int64)
+    pos, neg = int(labels.sum()), int(labels.size - labels.sum())
+    order = np.argsort(-scores)
+    sorted_scores = scores[order]
+    ends = np.concatenate([np.nonzero(np.diff(sorted_scores))[0], [scores.size - 1]])
+    tp = np.cumsum(labels[order])[ends].astype(np.float64)
+    fp = (ends + 1) - tp
+    fpr = np.concatenate([[0.0], fp / neg]) if neg else None
+    out = {}
+    if pos and neg:
+        tpr = np.concatenate([[0.0], tp / pos])
+        out["auroc"] = float(_np_trapezoid(tpr, fpr))
+    if pos:
+        recall, precision = tp / pos, tp / (tp + fp)
+        prev = np.concatenate([[0.0], recall[:-1]])
+        out["average_precision"] = float(np.sum((recall - prev) * precision))
+        out["f1_max"] = float((2.0 * tp / (tp + fp + pos)).max())
+    sizes = np.zeros(labels.size, dtype=np.int64)
+    region_sizes, start = [], 0
+    for m in masks:
+        for region in connected_components(BinaryMask(m)).regions:
+            sizes[start + region] = region.size
+            region_sizes.append(region.size)
+        start += m.size
+    if region_sizes and neg:
+        inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
+        kept = ends[:inside]
+        head = sizes[order[: kept[-1] + 1]]
+        overlap = np.zeros(kept.size)
+        for s in np.unique(region_sizes):
+            overlap += np.cumsum(head == s)[kept] / s
+        pro = np.concatenate([[0.0], overlap / len(region_sizes)])
+        x, y = fpr[:inside], pro[:inside]
+        if inside < fpr.size:
+            seg = slice(inside - 1, inside + 1)
+            x = np.append(x, fpr_limit)
+            y = np.append(y, np.interp(fpr_limit, fpr[seg], pro[seg]))
+        out["aupro"] = float(_np_trapezoid(y, x)) / fpr_limit
+    return out
+
+
+_CURVE_METRICS = {
+    "auroc": lambda px, masks, limit: auroc(px),
+    "average_precision": lambda px, masks, limit: average_precision(px),
+    "f1_max": lambda px, masks, limit: f1_max(px),
+    "aupro": lambda px, masks, limit: aupro(px, masks, limit),
+}
+
+
+def _assert_curve_metrics_match_parent(maps, masks, limit, names=tuple(_CURVE_METRICS)):
+    """Each metric, called in the order of ``names`` on one LabeledScores,
+    equals the parent formula by float.hex, or raises
+    MetricPreconditionError where the formula has no value; no call emits a
+    RuntimeWarning."""
+    want = _parent_curve_metrics(maps, masks, limit)
+    bit_masks = [BinaryMask(m) for m in masks]
+    pixels = _pooled([Tensor(t) for t in maps], bit_masks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in names:
+            if name in want:
+                got = _CURVE_METRICS[name](pixels, bit_masks, limit)
+                assert got.hex() == want[name].hex(), name
+            else:
+                with pytest.raises(MetricPreconditionError):
+                    _CURVE_METRICS[name](pixels, bit_masks, limit)
+
+
+@st.composite
+def _curve_case(draw):
+    """Pooled maps whose scores are tie-free, tie-heavy or all tied, random
+    masks, an fpr_limit of 0.05, 0.3 or 1, and an order to call the four
+    metrics in."""
+    side = st.integers(1, 7)
+    shapes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=3))
+    n = sum(h * w for h, w in shapes)
+    ties = draw(st.sampled_from(["tie-free", "tie-heavy", "all-tied"]))
+    if ties == "tie-free":
+        pooled = np.array(draw(st.permutations(range(n)))) / n
+    elif ties == "tie-heavy":
+        pooled = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))) / 2
+    else:
+        pooled = np.full(n, 0.5)
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), np.uint8)
+    maps, masks, start = [], [], 0
+    for h, w in shapes:
+        maps.append(pooled[start : start + h * w].reshape(h, w).astype(np.float32))
+        masks.append(bits[start : start + h * w].reshape(h, w))
+        start += h * w
+    limit = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    return maps, masks, limit, draw(st.permutations(list(_CURVE_METRICS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_curve_case())
+def test_curve_metrics_bytes_match_parent_formulas(case):
+    _assert_curve_metrics_match_parent(*case)
+
+
+@pytest.mark.parametrize("limit", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "scores, labels",
+    [
+        ([0.5], [0]), ([0.5], [1]),
+        ([0.5, 0.5], [0, 1]), ([0.9, 0.1], [0, 1]), ([0.9, 0.1], [1, 0]),
+        ([0.9, 0.1], [1, 1]), ([0.5, 0.5], [0, 0]),
+    ],
+)
+def test_curve_metrics_of_one_and_two_pixels_match_parent(scores, labels, limit):
+    maps = [np.array([scores], np.float32)]
+    masks = [np.array([labels], np.uint8)]
+    _assert_curve_metrics_match_parent(maps, masks, limit)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_curve_metrics_of_tie_heavy_pools_match_parent(seed):
+    _, maps, masks = _tie_heavy_inputs(seed)
+    maps, masks = [t.array for t in maps], [m.bits for m in masks]
+    for limit in (0.05, 0.3, 1.0):
+        # aupro first as well: its scratch rows must not disturb tp and fpr
+        _assert_curve_metrics_match_parent(maps, masks, limit, ["aupro", *_CURVE_METRICS])
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_single_class_raises_without_runtime_warning(label):
+    ls = LabeledScores([0.3, 0.3, 0.8, 0.1], [label] * 4)
+    bits = np.full((2, 2), label, np.uint8)
+    scores = Tensor(np.array([[0.3, 0.3], [0.8, 0.1]], np.float32))
+    pixels = _pooled([scores], [BinaryMask(bits)])
+    calls = [lambda: auroc(ls), lambda: aupro(pixels, [BinaryMask(bits)])]
+    if label == 0:
+        calls += [lambda: average_precision(ls), lambda: f1_max(ls)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(MetricPreconditionError):
+                call()
+
+
 @pytest.mark.parametrize("labels", [[0.7, 1.2, 1.0], [0.0, 1.0, 0.5]])
 def test_labeled_scores_reject_labels_before_the_cast(labels):
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
@@ -578,6 +729,15 @@ def test_aupro_matches_exhaustive_oracle(seed):
     got = aupro(_pooled(maps, masks), masks, limit)
     want = _exhaustive_aupro(raw_maps, raw_masks, limit)
     assert abs(got - want) <= 1e-9
+    # the same pool with a map whose mask is empty second in it
+    blank = np.round(rng.random((3, 4)), 1).astype(np.float32)
+    raw_maps.insert(1, blank.astype(np.float64))
+    raw_masks.insert(1, np.zeros((3, 4), np.uint8))
+    maps.insert(1, Tensor(blank))
+    masks.insert(1, BinaryMask(raw_masks[1]))
+    got = aupro(_pooled(maps, masks), masks, limit)
+    want = _exhaustive_aupro(raw_maps, raw_masks, limit)
+    assert abs(got - want) <= 1e-9
 
 
 @st.composite
@@ -648,7 +808,7 @@ def _full_sweep_aupro(maps, masks, fpr_limit):
         seg = slice(inside - 1, inside + 1)
         x = np.append(x, fpr_limit)
         y = np.append(y, np.interp(fpr_limit, fpr[seg], pro[seg]))
-    return float(metrics._trapezoid(y, x)) / fpr_limit
+    return float(_np_trapezoid(y, x)) / fpr_limit
 
 
 def _many_sized_regions(seed, n_maps=4, size=32):
@@ -785,6 +945,44 @@ def test_evaluate_pixel_pooling_matches_standalone():
     assert report.pixel_f1_max == f1_max(pooled)
     assert report.pixel_aupro == aupro(pooled, masks)
     assert report.image_auroc == auroc(image)
+
+
+def _memory_guard_inputs():
+    """16 maps of 64x64, every pixel its own score, half of them with a
+    planted square and a disc."""
+    rng = np.random.default_rng(0)
+    yy, xx = np.mgrid[:64, :64]
+    masks = []
+    for i in range(16):
+        bits = np.zeros((64, 64), np.uint8)
+        if i % 2 == 0:
+            r, c = (int(v) for v in rng.integers(2, 30, 2))
+            bits[r : r + 10, c : c + 10] = 1
+            bits[(yy - 48) ** 2 + (xx - 46) ** 2 <= 36] = 1
+        masks.append(bits)
+    raw = np.stack(masks) + rng.normal(0.0, 1.0, (16, 64, 64))
+    ranks = np.empty(raw.size)
+    ranks[np.argsort(raw, axis=None)] = np.arange(1, raw.size + 1) / raw.size
+    maps = [Tensor(m.astype(np.float32)) for m in ranks.reshape(raw.shape)]
+    image = LabeledScores([float(t.array.max()) for t in maps], [1 - i % 2 for i in range(16)])
+    return image, maps, [BinaryMask(m) for m in masks]
+
+
+def test_evaluate_memory_peak_per_pixel():
+    # the plain formulas peaked at 82 bytes per pooled pixel on 262,144
+    # tie-free pixels; the shared block must not trade memory for speed
+    image, maps, masks = _memory_guard_inputs()
+    pixels = sum(t.array.size for t in maps)
+    # the imports numpy makes on first use are not the sweep's
+    evaluate(*_tie_heavy_inputs(0))
+    tracemalloc.start()
+    try:
+        evaluate(image, maps, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pixels >= 1 << 16
+    assert peak <= 82 * pixels, peak / pixels
 
 
 def test_report_json_roundtrip():
