@@ -30,10 +30,11 @@ without a per-pixel loop: each foreground pixel takes the smallest flat
 index in its region by min-label propagation over 8-neighbour pairs with
 pointer jumping.
 
-The sweep and the metrics' temporaries live in rows of one float64 block
-of five rows of n + 1 values, made once per LabeledScores of n scores.
-The metrics of one evaluate reuse its pages instead of each allocating,
-freeing and faulting in arrays of n values of their own:
+The sweep and the metrics' temporaries live in five rows of one float64
+block, made once per LabeledScores of n scores in g tie groups: work and
+sums hold n + 1 values, the others g + 1.  The metrics of one evaluate
+reuse its pages instead of each allocating, freeing and faulting in
+arrays of their own:
 
   tp    0, then the cumulative true positives at each tie-group end; kept
   fpr   0, then the false-positive rate (ends + 1 - tp) / negatives at
@@ -93,8 +94,9 @@ def _read_only(given, dtype) -> np.ndarray:
     return arr
 
 
-# rows of LabeledScores._block
+# rows of LabeledScores._rows, and the float64 values in a 4 KiB page
 _TP, _FPR, _WORK, _SUMS, _PRO = range(5)
+_PAGE = 512
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,21 @@ class LabeledScores:
         return _tie_groups(self.scores)
 
     @cached_property
-    def _block(self) -> np.ndarray:
-        """The rows tp, fpr, work, sums and pro, n + 1 values each."""
-        return np.empty((5, self.scores.size + 1))
+    def _rows(self) -> list[np.ndarray]:
+        """The rows tp, fpr, work, sums and pro, cut from one float64 block:
+        one value more than the scores for work and sums, one more than the
+        tie groups for the others."""
+        scores, groups = self.scores.size + 1, self._tie_order[1].size + 1
+        sizes = (groups, groups, scores, scores, groups)
+        # each row starts a whole number of 4 KiB pages after the first, as
+        # fresh arrays do.  Rows of n + 1 values packed end to end put the
+        # row written 8 bytes past the page offset of the row read, and
+        # every load then waits on the store before it (4K aliasing): a
+        # take into one row from another ran 8 times slower
+        spans = [-(-size // _PAGE) * _PAGE for size in sizes]
+        block = np.empty(sum(spans))
+        starts = np.cumsum([0, *spans[:-1]])
+        return [block[start : start + size] for start, size in zip(starts, sizes)]
 
     @cached_property
     def _tie_counts(self) -> np.ndarray:
@@ -145,6 +159,8 @@ class LabeledScores:
         np.cumsum(cumulative, out=cumulative)
         tp = self._row(_TP, ends.size + 1)
         tp[0] = 0.0
+        # mode="clip" on indices known in range: np.take's default mode
+        # fills a copy of out first
         np.take(cumulative, ends, out=tp[1:], mode="clip")
         tp.flags.writeable = False
         return tp
@@ -165,7 +181,7 @@ class LabeledScores:
 
     def _row(self, row: int, size: int) -> np.ndarray:
         """The first ``size`` values of one row of the block."""
-        return self._block[row, :size]
+        return self._rows[row][:size]
 
     @cached_property
     def positives(self) -> int:
@@ -281,8 +297,8 @@ def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gather(values: np.ndarray, order: np.ndarray, out: np.ndarray) -> np.ndarray:
     """values[order], as a view of ``out`` read backwards.  Reading
-    _tie_groups' order backwards gives the contiguous ascending sort, so
-    np.take copies no index array."""
+    _tie_groups' order backwards gives the contiguous ascending sort, and
+    np.take copies an index array that is not contiguous."""
     np.take(values, order[::-1], out=out, mode="clip")
     return out[::-1]
 
