@@ -35,14 +35,12 @@ from .ssm import (
     selective_scan_backward,
 )
 from .blocks import (
-    BlockConfig,
     ConvBParams,
     HssParams,
     LssParams,
     conv_block,
     dwconv2d,
     hss_forward,
-    init_block_params,
     lss_forward,
 )
 from .pipeline import (
@@ -53,6 +51,7 @@ from .pipeline import (
     anomaly_map,
     decoder_forward,
     hfpn_fuse,
+    init_block_params,
     init_decoder_params,
     mse_loss,
     pipeline_forward,

@@ -3,8 +3,7 @@ locality-enhanced module that wraps it.
 
 Shapes are channel-first throughout: feature maps are (C, H, W), sequences
 (C, L).  There is no autodiff here; parameters are plain numpy arrays held
-in frozen dataclasses, initialised deterministically from a SplitMix64
-stream so a seed pins every weight on every platform.
+in frozen dataclasses.
 
 ConvB is Conv2D (same padding, stride 1) -> per-channel instance norm
 (eps = 1e-5, biased variance) -> SiLU.
@@ -58,7 +57,7 @@ import numpy as np
 
 from .scans import _DIRECTION_PARTS, ScanDirection, ScanMethod, make_schedule
 from .ssm import ssm_bank_scan
-from .tensor import Rng, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "LN_EPS",
@@ -69,7 +68,6 @@ __all__ = [
     "HssParams",
     "LocalBranchParams",
     "LssParams",
-    "BlockConfig",
     "silu",
     "layer_norm",
     "instance_norm",
@@ -79,10 +77,6 @@ __all__ = [
     "conv_block",
     "hss_forward",
     "lss_forward",
-    "init_conv_block",
-    "init_hss_params",
-    "init_block_params",
-    "DEFAULT_DIRECTIONS",
 ]
 
 LN_EPS = 1e-5
@@ -103,9 +97,6 @@ def _check_directions(directions) -> None:
         )
     if len(set(directions)) != k:
         raise ValueError("directions must be distinct")
-
-
-DEFAULT_DIRECTIONS = tuple(ScanDirection)
 
 
 @dataclass(frozen=True)
@@ -298,20 +289,6 @@ class LssParams:
         return self.hss[0].channels
 
 
-@dataclass(frozen=True)
-class BlockConfig:
-    """Configuration for one locality-enhanced module."""
-
-    channels: int
-    hss_blocks: int = 3
-    state_size: int = 4
-    expansion: int = 2
-    local_kernels: tuple[int, int] = (5, 7)
-    scan_method: ScanMethod = ScanMethod.HILBERT
-    directions: tuple[ScanDirection, ...] = DEFAULT_DIRECTIONS
-    seed: int = 0
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -502,104 +479,3 @@ def lss_forward(x: Tensor, p: LssParams) -> Tensor:
     fused = pointwise_conv(cat, p.fuse_weight, p.fuse_bias)
     return Tensor(fused + x.array)
 
-
-# ---------------------------------------------------------------------------
-# initialisation
-
-def _draw(rng: Rng, shape, fan_in: int) -> np.ndarray:
-    s = 1.0 / np.sqrt(fan_in)
-    n = int(np.prod(shape))
-    return rng.uniform(n, -s, s).reshape(shape).astype(np.float32)
-
-
-def init_conv_block(rng: Rng, in_ch: int, out_ch: int, kernel: int) -> ConvBParams:
-    """Weights uniform in [-s, s], s = 1/sqrt(in_ch * k * k); zero bias,
-    norm scale 1 and shift 0."""
-    return ConvBParams(
-        weight=_draw(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel),
-        bias=np.zeros(out_ch, dtype=np.float32),
-        norm_scale=np.ones(out_ch, dtype=np.float32),
-        norm_shift=np.zeros(out_ch, dtype=np.float32),
-    )
-
-
-def _init_bank(rng: Rng, k: int, channels: int, state_size: int) -> SsmBankParams:
-    """a_i = -(i + 1) on every channel; b, c uniform with s = 1/sqrt(N);
-    delta log-uniform over [1e-3, 1e-1]."""
-    n = state_size
-    a = np.broadcast_to(
-        -np.arange(1.0, n + 1.0), (k, channels, n)
-    ).copy()
-    s = 1.0 / np.sqrt(n)
-    b = rng.uniform(k * channels * n, -s, s).reshape(k, channels, n)
-    c = rng.uniform(k * channels * n, -s, s).reshape(k, channels, n)
-    delta = np.exp(
-        rng.uniform(k * channels, np.log(1e-3), np.log(1e-1))
-    ).reshape(k, channels)
-    return SsmBankParams(a=a, b=b, c=c, delta=delta)
-
-
-def init_hss_params(
-    rng: Rng,
-    channels: int,
-    state_size: int = 4,
-    expansion: int = 2,
-    method: ScanMethod = ScanMethod.HILBERT,
-    directions: tuple[ScanDirection, ...] = DEFAULT_DIRECTIONS,
-) -> HssParams:
-    inner = channels * expansion
-    return HssParams(
-        channels=channels,
-        expansion=expansion,
-        method=method,
-        directions=tuple(directions),
-        ln_pre_scale=np.ones(channels, dtype=np.float32),
-        ln_pre_shift=np.zeros(channels, dtype=np.float32),
-        in_weight=_draw(rng, (inner, channels), channels),
-        in_bias=np.zeros(inner, dtype=np.float32),
-        gate_weight=_draw(rng, (inner, channels), channels),
-        gate_bias=np.zeros(inner, dtype=np.float32),
-        dw_weight=_draw(rng, (inner, 3, 3), 9),
-        dw_bias=np.zeros(inner, dtype=np.float32),
-        bank=_init_bank(rng, len(directions), inner, state_size),
-        ln_post_scale=np.ones(inner, dtype=np.float32),
-        ln_post_shift=np.zeros(inner, dtype=np.float32),
-        out_weight=_draw(rng, (channels, inner), inner),
-        out_bias=np.zeros(channels, dtype=np.float32),
-    )
-
-
-def _init_local_branch(rng: Rng, channels: int, kernel: int) -> LocalBranchParams:
-    return LocalBranchParams(
-        pre=init_conv_block(rng, channels, channels, 1),
-        dw_weight=_draw(rng, (channels, kernel, kernel), kernel * kernel),
-        dw_bias=np.zeros(channels, dtype=np.float32),
-        post=init_conv_block(rng, channels, channels, 1),
-    )
-
-
-def init_block_params(config: BlockConfig, rng: Rng | None = None) -> LssParams:
-    """Deterministic parameters for one module; a fresh Rng(config.seed) is
-    used unless a shared stream is passed in."""
-    if rng is None:
-        rng = Rng(config.seed)
-    c = config.channels
-    hss = tuple(
-        init_hss_params(
-            rng,
-            c,
-            state_size=config.state_size,
-            expansion=config.expansion,
-            method=config.scan_method,
-            directions=config.directions,
-        )
-        for _ in range(config.hss_blocks)
-    )
-    k5, k7 = config.local_kernels
-    return LssParams(
-        hss=hss,
-        local5=_init_local_branch(rng, c, k5),
-        local7=_init_local_branch(rng, c, k7),
-        fuse_weight=_draw(rng, (c, 3 * c), 3 * c),
-        fuse_bias=np.zeros(c, dtype=np.float32),
-    )

@@ -23,6 +23,10 @@ Training signal and scoring:
     disagrees), bilinearly resized and summed; the image score is the max
     of the summed map after 5x5 Gaussian smoothing (sigma 4, kernel
     truncated and renormalised, borders renormalised by in-bounds mass).
+
+Every module is built from the one ``DecoderConfig``; the initialisers draw
+all weights, in a fixed order, from one SplitMix64 stream, so a seed pins
+every weight on every platform.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .blocks import (
-    DEFAULT_DIRECTIONS,
-    BlockConfig,
     ConvBParams,
+    HssParams,
+    LocalBranchParams,
     LssParams,
+    SsmBankParams,
     _check_directions,
     conv_block,
-    init_block_params,
-    init_conv_block,
     lss_forward,
 )
 from .scans import ScanDirection, ScanMethod
@@ -64,6 +67,9 @@ __all__ = [
     "mse_loss",
     "anomaly_map",
     "pipeline_forward",
+    "init_conv_block",
+    "init_hss_params",
+    "init_block_params",
     "init_decoder_params",
     "save_decoder_params",
     "load_decoder_params",
@@ -122,7 +128,7 @@ class DecoderConfig:
     hss_per_stage: tuple[int, ...] = (3, 2, 3, 3)
     stage_channels: tuple[int, ...] | None = None
     scan_method: ScanMethod = ScanMethod.HILBERT
-    directions: tuple[ScanDirection, ...] = DEFAULT_DIRECTIONS
+    directions: tuple[ScanDirection, ...] = tuple(ScanDirection)
     state_size: int = 4
     expansion: int = 2
     local_kernels: tuple[int, int] = (5, 7)
@@ -214,11 +220,91 @@ def hfpn_fuse(p: FeaturePyramid, fuse: ConvBParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# decoder
+# initialisation
 
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+def _draw(rng: Rng, shape, fan_in: int) -> np.ndarray:
+    s = 1.0 / np.sqrt(fan_in)
+    n = int(np.prod(shape))
+    return rng.uniform(n, -s, s).reshape(shape).astype(np.float32)
+
+
+def init_conv_block(rng: Rng, in_ch: int, out_ch: int) -> ConvBParams:
+    """A 1x1 ConvB: weights uniform in [-s, s], s = 1/sqrt(in_ch); zero
+    bias, norm scale 1 and shift 0."""
+    return ConvBParams(
+        weight=_draw(rng, (out_ch, in_ch, 1, 1), in_ch),
+        bias=np.zeros(out_ch, dtype=np.float32),
+        norm_scale=np.ones(out_ch, dtype=np.float32),
+        norm_shift=np.zeros(out_ch, dtype=np.float32),
+    )
+
+
+def _init_bank(rng: Rng, cfg: DecoderConfig, channels: int) -> SsmBankParams:
+    """One bank of ``channels`` per direction: a_i = -(i + 1) on every
+    channel; b, c uniform with s = 1/sqrt(N); delta log-uniform over
+    [1e-3, 1e-1]."""
+    k, n = len(cfg.directions), cfg.state_size
+    a = np.broadcast_to(
+        -np.arange(1.0, n + 1.0), (k, channels, n)
+    ).copy()
+    s = 1.0 / np.sqrt(n)
+    b = rng.uniform(k * channels * n, -s, s).reshape(k, channels, n)
+    c = rng.uniform(k * channels * n, -s, s).reshape(k, channels, n)
+    delta = np.exp(
+        rng.uniform(k * channels, np.log(1e-3), np.log(1e-1))
+    ).reshape(k, channels)
+    return SsmBankParams(a=a, b=b, c=c, delta=delta)
+
+
+def init_hss_params(rng: Rng, cfg: DecoderConfig, channels: int) -> HssParams:
+    """One hybrid-scan block at ``channels``, with cfg's expansion, scan
+    method, directions and state size."""
+    inner = channels * cfg.expansion
+    return HssParams(
+        channels=channels,
+        expansion=cfg.expansion,
+        method=cfg.scan_method,
+        directions=tuple(cfg.directions),
+        ln_pre_scale=np.ones(channels, dtype=np.float32),
+        ln_pre_shift=np.zeros(channels, dtype=np.float32),
+        in_weight=_draw(rng, (inner, channels), channels),
+        in_bias=np.zeros(inner, dtype=np.float32),
+        gate_weight=_draw(rng, (inner, channels), channels),
+        gate_bias=np.zeros(inner, dtype=np.float32),
+        dw_weight=_draw(rng, (inner, 3, 3), 9),
+        dw_bias=np.zeros(inner, dtype=np.float32),
+        bank=_init_bank(rng, cfg, inner),
+        ln_post_scale=np.ones(inner, dtype=np.float32),
+        ln_post_shift=np.zeros(inner, dtype=np.float32),
+        out_weight=_draw(rng, (channels, inner), inner),
+        out_bias=np.zeros(channels, dtype=np.float32),
+    )
+
+
+def _init_local_branch(rng: Rng, channels: int, kernel: int) -> LocalBranchParams:
+    return LocalBranchParams(
+        pre=init_conv_block(rng, channels, channels),
+        dw_weight=_draw(rng, (channels, kernel, kernel), kernel * kernel),
+        dw_bias=np.zeros(channels, dtype=np.float32),
+        post=init_conv_block(rng, channels, channels),
+    )
+
+
+def init_block_params(
+    rng: Rng, cfg: DecoderConfig, channels: int, hss_blocks: int
+) -> LssParams:
+    """One locality-enhanced module: a cascade of ``hss_blocks`` hybrid-scan
+    blocks, then the local branches of cfg.local_kernels, then the fuse."""
+    hss = tuple(init_hss_params(rng, cfg, channels) for _ in range(hss_blocks))
+    k5, k7 = cfg.local_kernels
+    return LssParams(
+        hss=hss,
+        local5=_init_local_branch(rng, channels, k5),
+        local7=_init_local_branch(rng, channels, k7),
+        fuse_weight=_draw(rng, (channels, 3 * channels), 3 * channels),
+        fuse_bias=np.zeros(channels, dtype=np.float32),
+    )
 
 
 def init_decoder_params(
@@ -228,26 +314,21 @@ def init_decoder_params(
     c1, c2, c3 = pyramid_channels
     stage_ch = cfg.resolved_channels(pyramid_channels)
     rng = Rng(cfg.seed)
-    fuse = init_conv_block(rng, c1 + c2 + c3, c3, 1)
-    stages = []
-    for depth, m, ch in zip(cfg.stage_depths, cfg.hss_per_stage, stage_ch):
-        block_cfg = BlockConfig(
-            channels=ch,
-            hss_blocks=m,
-            state_size=cfg.state_size,
-            expansion=cfg.expansion,
-            local_kernels=cfg.local_kernels,
-            scan_method=cfg.scan_method,
-            directions=cfg.directions,
-        )
-        stages.append(
-            tuple(init_block_params(block_cfg, rng) for _ in range(depth))
-        )
-    adapters = (
-        init_conv_block(rng, c3, c2, 1),
-        init_conv_block(rng, c2, c1, 1),
+    fuse = init_conv_block(rng, c1 + c2 + c3, c3)
+    stages = tuple(
+        tuple(init_block_params(rng, cfg, ch, m) for _ in range(depth))
+        for depth, m, ch in zip(cfg.stage_depths, cfg.hss_per_stage, stage_ch)
     )
-    return DecoderParams(fuse=fuse, stages=tuple(stages), adapters=adapters)
+    adapters = (init_conv_block(rng, c3, c2), init_conv_block(rng, c2, c1))
+    return DecoderParams(fuse=fuse, stages=stages, adapters=adapters)
+
+
+# ---------------------------------------------------------------------------
+# decoder
+
+
+def _upsample2(x: np.ndarray) -> np.ndarray:
+    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
 def decoder_forward(fused: Tensor, params: DecoderParams) -> FeaturePyramid:

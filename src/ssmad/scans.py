@@ -48,7 +48,6 @@ __all__ = [
     "ScanMethod",
     "ScanDirection",
     "ScanSchedule",
-    "HilbertGrid",
     "UnsupportedGeometry",
     "NonSquareRotation",
     "hilbert_matrix",
@@ -143,40 +142,33 @@ class ScanSchedule:
         return self.height * self.width
 
 
-@dataclass(frozen=True)
-class HilbertGrid:
-    """Rank matrix of the order-n curve on a 2**n square grid."""
+def hilbert_matrix(n: int) -> np.ndarray:
+    """Rank matrix of the order-n curve on a 2**n square grid,
+    1 <= n <= MAX_HILBERT_ORDER.
 
-    order: int
-    ranks: np.ndarray
-
-    @property
-    def side(self) -> int:
-        return 2**self.order
-
-
-def hilbert_matrix(n: int) -> HilbertGrid:
-    """Rank matrix for curve order n, 1 <= n <= MAX_HILBERT_ORDER."""
+    Every level writes its three new quadrants straight into the final
+    int64 array from views of the top-left block, H(m), so no level makes
+    a temporary.
+    """
     if not 1 <= n <= MAX_HILBERT_ORDER:
         raise UnsupportedGeometry(
             f"curve order must be in 1..{MAX_HILBERT_ORDER}, got {n}"
         )
-    h = np.array([[1, 2], [4, 3]], dtype=np.int64)
+    ranks = np.empty((2**n, 2**n), dtype=np.int64)
+    ranks[:2, :2] = [[1, 2], [4, 3]]
     for m in range(1, n):
-        q = 4**m
-        e = np.ones_like(h)
+        q, s = 4**m, 2**m
+        t = ranks[:s, :s]
+        tr, bl, br = ranks[:s, s:2 * s], ranks[s:2 * s, :s], ranks[s:2 * s, s:2 * s]
         if m % 2 == 0:
-            tl = h
-            tr = q * e + h.T
-            bl = (4 * q + 1) * e - h[::-1, :]
-            br = (3 * q + 1) * e - h[:, ::-1].T
+            np.add(t.T, q, out=tr)
+            np.subtract(4 * q + 1, t[::-1], out=bl)
+            np.subtract(3 * q + 1, t[:, ::-1].T, out=br)
         else:
-            tl = h
-            tr = (4 * q + 1) * e - h[:, ::-1]
-            bl = q * e + h.T
-            br = (3 * q + 1) * e - h.T[:, ::-1]
-        h = np.block([[tl, tr], [bl, br]])
-    return HilbertGrid(order=n, ranks=h)
+            np.subtract(4 * q + 1, t[:, ::-1], out=tr)
+            np.add(t.T, q, out=bl)
+            np.subtract(3 * q + 1, t.T[:, ::-1], out=br)
+    return ranks
 
 
 def _is_pow2(x: int) -> bool:
@@ -233,9 +225,10 @@ def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
             raise UnsupportedGeometry(
                 f"hilbert requires square power-of-two extents >= 2, got {h}x{w}"
             )
-        n = h.bit_length() - 1
-        ranks = hilbert_matrix(n).ranks
-        order = np.argsort(ranks.reshape(-1), kind="stable").astype(np.int64)
+        ranks = hilbert_matrix(h.bit_length() - 1)
+        # the ranks are a permutation of 1..h*w, so one scatter inverts them
+        order = np.empty(h * w, dtype=np.int64)
+        order[ranks.reshape(-1) - 1] = np.arange(h * w, dtype=np.int64)
 
     else:  # pragma: no cover - closed enum
         raise ValueError(f"unknown method {method}")
@@ -246,23 +239,22 @@ def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
 @lru_cache(maxsize=512)
 def _cached_schedule(method: ScanMethod, direction: ScanDirection, h: int, w: int):
     transpose, rotate, reverse = _DIRECTION_PARTS[direction]
-    if transpose:
-        # traverse the transposed geometry, then map every visit back into
-        # the caller's grid so the result always addresses an h x w map
-        b = base_schedule(method, w, h)
-        r = b.order % h
-        c = b.order // h
-    else:
-        b = base_schedule(method, h, w)
-        r = b.order // w
-        c = b.order % w
-    if rotate:
-        if h != w:
-            raise NonSquareRotation(
-                f"rot90 directions need a square grid, got {h}x{w}"
-            )
-        r, c = c, h - 1 - r
-    order = r * w + c
+    # a transposing direction traverses the transposed geometry; every visit
+    # is then mapped back into the caller's grid, so the result always
+    # addresses an h x w map
+    bh, bw = (w, h) if transpose else (h, w)
+    order = base_schedule(method, bh, bw).order
+    if transpose or rotate:
+        r, c = np.divmod(order, bw)
+        if transpose:
+            r, c = c, r
+        if rotate:
+            if h != w:
+                raise NonSquareRotation(
+                    f"rot90 directions need a square grid, got {h}x{w}"
+                )
+            r, c = c, h - 1 - r
+        order = r * w + c
     if reverse:
         order = order[::-1]
     return ScanSchedule(height=h, width=w, order=order)

@@ -89,8 +89,8 @@ class PgmError(ValueError):
 class Tensor:
     """Row-major float32 array with 1 to 4 axes, every extent >= 1.
 
-    The wrapped ndarray is C-contiguous float32; ``data`` exposes the flat
-    view used by schedule gather/scatter and by the file container.
+    The wrapped ndarray is C-contiguous float32; ``data`` is a flat
+    row-major view of it.
     """
 
     __slots__ = ("array",)

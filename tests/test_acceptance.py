@@ -17,13 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ssmad.blocks import (
-    hss_forward,
-    init_block_params,
-    init_hss_params,
-    lss_forward,
-    BlockConfig,
-)
+from ssmad.blocks import hss_forward, lss_forward
 from ssmad.metrics import (
     LabeledScores,
     aupro,
@@ -32,6 +26,7 @@ from ssmad.metrics import (
     f1_max,
     mad,
 )
+from ssmad.pipeline import DecoderConfig, init_block_params, init_hss_params
 from ssmad.scans import (
     ScanDirection,
     ScanMethod,
@@ -78,7 +73,7 @@ def _best_of(fn, repeats=5):
 
 
 def test_curve_rank_base_case():
-    got, elapsed = _best_of(lambda: hilbert_matrix(1).ranks)
+    got, elapsed = _best_of(lambda: hilbert_matrix(1))
     ok = np.array_equal(got, [[1, 2], [4, 3]])
     _verdict("hilbert base case", ok, elapsed, 0.001)
 
@@ -87,8 +82,7 @@ def test_curve_rank_validity_through_order_six():
     t0 = time.perf_counter()
     ok = True
     for n in range(1, 7):
-        grid = hilbert_matrix(n)
-        ranks = grid.ranks
+        ranks = hilbert_matrix(n)
         side = 2**n
         flat = np.sort(ranks.reshape(-1))
         if not np.array_equal(flat, np.arange(1, side * side + 1)):
@@ -216,14 +210,13 @@ def test_residual_identities_hold_bit_exactly():
         directions = tuple(list(ScanDirection)[:k])
         x = Tensor(rng.standard_normal((channels, 8, 8)).astype(np.float32))
 
-        hss = init_hss_params(
-            Rng(seed),
-            channels,
+        hss_cfg = DecoderConfig(
             state_size=int(rng.integers(1, 4)),
             expansion=2,
-            method=method,
+            scan_method=method,
             directions=directions,
         )
+        hss = init_hss_params(Rng(seed), hss_cfg, channels)
         hss = replace(
             hss,
             out_weight=np.zeros_like(hss.out_weight),
@@ -232,15 +225,13 @@ def test_residual_identities_hold_bit_exactly():
         if hss_forward(x, hss).array.tobytes() != x.array.tobytes():
             ok = False
 
-        cfg = BlockConfig(
-            channels=channels,
-            hss_blocks=int(rng.integers(1, 3)),
+        hss_blocks = int(rng.integers(1, 3))
+        cfg = DecoderConfig(
             state_size=int(rng.integers(1, 4)),
             scan_method=method,
             directions=directions,
-            seed=seed,
         )
-        params = init_block_params(cfg)
+        params = init_block_params(Rng(seed), cfg, channels, hss_blocks)
         params = replace(
             params,
             hss=tuple(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ssmad import blocks
 from ssmad.blocks import (
     ALLOWED_DIRECTION_COUNTS,
-    BlockConfig,
     ConvBParams,
     HssParams,
     LocalBranchParams,
@@ -21,15 +20,21 @@ from ssmad.blocks import (
     conv_block,
     dwconv2d,
     hss_forward,
-    init_block_params,
-    init_hss_params,
     instance_norm,
     layer_norm,
     lss_forward,
     pointwise_conv,
     silu,
 )
-from ssmad.pipeline import DecoderConfig, FeaturePyramid, init_decoder_params, pipeline_forward
+from ssmad.pipeline import (
+    DecoderConfig,
+    FeaturePyramid,
+    init_block_params,
+    init_conv_block,
+    init_decoder_params,
+    init_hss_params,
+    pipeline_forward,
+)
 from ssmad.scans import ScanDirection, ScanMethod, make_schedule
 from ssmad.ssm import ssm_bank_scan, zoh
 from ssmad.tensor import Rng, Tensor
@@ -93,16 +98,13 @@ def _float32_sum_bound(terms, scale):
 
 def _micro_config(**kw):
     defaults = dict(
-        channels=4,
-        hss_blocks=1,
         state_size=2,
         expansion=2,
         scan_method=ScanMethod.SWEEP,
         directions=(ScanDirection.FORWARD, ScanDirection.REVERSE),
-        seed=3,
     )
     defaults.update(kw)
-    return BlockConfig(**defaults)
+    return DecoderConfig(**defaults)
 
 
 # ------------------------------------------------------------- primitives
@@ -532,10 +534,7 @@ def _zero_hss_output(p: HssParams) -> HssParams:
 
 
 def test_hss_residual_identity():
-    rng = Rng(5)
-    p = init_hss_params(rng, channels=4, state_size=2, expansion=2,
-                        method=ScanMethod.SWEEP,
-                        directions=(ScanDirection.FORWARD, ScanDirection.REVERSE))
+    p = init_hss_params(Rng(5), _micro_config(), channels=4)
     p = _zero_hss_output(p)
     x = Tensor(np.random.default_rng(0).standard_normal((4, 6, 6)).astype(np.float32))
     out = hss_forward(x, p)
@@ -543,8 +542,7 @@ def test_hss_residual_identity():
 
 
 def test_lss_residual_identity():
-    cfg = _micro_config()
-    params = init_block_params(cfg)
+    params = init_block_params(Rng(3), _micro_config(), channels=4, hss_blocks=1)
     params = replace(
         params,
         hss=tuple(_zero_hss_output(h) for h in params.hss),
@@ -562,15 +560,13 @@ def test_residual_identity_random_configs(seed):
     channels = int(rng.choice([2, 3, 4, 8]))
     k = int(rng.choice([1, 2, 4]))
     directions = tuple(list(ScanDirection)[:k])
+    hss_blocks = int(rng.integers(1, 3))
     cfg = _micro_config(
-        channels=channels,
-        hss_blocks=int(rng.integers(1, 3)),
         state_size=int(rng.integers(1, 4)),
         scan_method=ScanMethod(rng.choice([m.value for m in ScanMethod])),
         directions=directions,
-        seed=seed,
     )
-    params = init_block_params(cfg)
+    params = init_block_params(Rng(seed), cfg, channels, hss_blocks)
     params = replace(
         params,
         hss=tuple(_zero_hss_output(h) for h in params.hss),
@@ -587,9 +583,9 @@ def test_residual_identity_random_configs(seed):
 
 
 def test_hss_shape_preservation():
-    p = init_hss_params(Rng(9), channels=3, state_size=2, expansion=2,
-                        method=ScanMethod.SCAN,
+    cfg = _micro_config(scan_method=ScanMethod.SCAN,
                         directions=(ScanDirection.FORWARD, ScanDirection.WH_FORWARD))
+    p = init_hss_params(Rng(9), cfg, channels=3)
     x = Tensor(np.random.default_rng(3).standard_normal((3, 4, 6)).astype(np.float32))
     out = hss_forward(x, p)
     assert out.shape == (3, 4, 6)
@@ -598,10 +594,9 @@ def test_hss_shape_preservation():
 def test_hss_non_square_with_wh_directions():
     # wh directions traverse the transposed geometry but stay addressed to
     # the caller's grid, so non-square maps are fine without rot90
-    p = init_hss_params(Rng(2), channels=2, state_size=2, expansion=2,
-                        method=ScanMethod.SWEEP,
-                        directions=(ScanDirection.FORWARD, ScanDirection.REVERSE,
+    cfg = _micro_config(directions=(ScanDirection.FORWARD, ScanDirection.REVERSE,
                                     ScanDirection.WH_FORWARD, ScanDirection.WH_REVERSE))
+    p = init_hss_params(Rng(2), cfg, channels=2)
     x = Tensor(np.random.default_rng(4).standard_normal((2, 2, 6)).astype(np.float32))
     out = hss_forward(x, p)
     assert out.shape == (2, 2, 6)
@@ -609,9 +604,9 @@ def test_hss_non_square_with_wh_directions():
 
 
 def test_hss_rot90_rejects_non_square():
-    p = init_hss_params(Rng(2), channels=2, state_size=1, expansion=1,
-                        method=ScanMethod.SWEEP,
+    cfg = _micro_config(state_size=1, expansion=1,
                         directions=(ScanDirection.FORWARD, ScanDirection.ROT90_FORWARD))
+    p = init_hss_params(Rng(2), cfg, channels=2)
     x = Tensor(np.zeros((2, 2, 4), dtype=np.float32))
     with pytest.raises(Exception):
         hss_forward(x, p)
@@ -622,9 +617,9 @@ def test_hss_forward_reverse_memoryless_equality():
     # map forward or backward lands every value back on its own cell
     channels, expansion = 2, 1
     inner = channels * expansion
-    base = init_hss_params(Rng(6), channels=channels, state_size=1, expansion=expansion,
-                           method=ScanMethod.HILBERT,
-                           directions=(ScanDirection.FORWARD,))
+    cfg = _micro_config(state_size=1, expansion=expansion, scan_method=ScanMethod.HILBERT,
+                        directions=(ScanDirection.FORWARD,))
+    base = init_hss_params(Rng(6), cfg, channels=channels)
     a, b, c, delta = _identity_bank(inner)
     bank = SsmBankParams(
         a=a[None, :, :], b=b[None, :, :], c=c[None, :, :], delta=delta[None, :]
@@ -638,7 +633,7 @@ def test_hss_forward_reverse_memoryless_equality():
 
 
 def test_hss_worker_bit_identity():
-    p = init_hss_params(Rng(12), channels=4, state_size=2)
+    p = init_hss_params(Rng(12), DecoderConfig(state_size=2), channels=4)
     x = Tensor(np.random.default_rng(12).standard_normal((4, 8, 8)).astype(np.float32))
     base = hss_forward(x, p, workers=1)
     for workers in (2, 4, 8):
@@ -679,8 +674,8 @@ _NON_ROT = (ScanDirection.FORWARD, ScanDirection.REVERSE,
 )
 def test_hss_stacked_scan_matches_per_direction_oracle(method, directions, h, w):
     channels, n = 3, 4
-    p = init_hss_params(Rng(21), channels=channels, state_size=n, expansion=2,
-                        method=method, directions=directions)
+    cfg = _micro_config(state_size=n, scan_method=method, directions=directions)
+    p = init_hss_params(Rng(21), cfg, channels=channels)
     # every (direction, channel) row gets its own a, b, c and delta, so a
     # bank row paired with the wrong sequence row changes the output
     rng = np.random.default_rng(22)
@@ -739,15 +734,14 @@ _D = ScanDirection
 )
 def test_hss_mirrored_gathers_match_take_per_direction(method, directions, h, w):
     channels = 3
-    p = init_hss_params(Rng(31), channels=channels, state_size=4, expansion=2,
-                        method=method, directions=directions)
+    cfg = _micro_config(state_size=4, scan_method=method, directions=directions)
+    p = init_hss_params(Rng(31), cfg, channels=channels)
     x = Tensor(np.random.default_rng(32).standard_normal((channels, h, w)).astype(np.float32))
     assert hss_forward(x, p).array.tobytes() == _take_per_direction_hss(x, p).tobytes()
 
 
 def test_lss_zeroed_branches_reduce_to_fuse():
-    cfg = _micro_config(hss_blocks=1)
-    params = init_block_params(cfg)
+    params = init_block_params(Rng(3), _micro_config(), channels=4, hss_blocks=1)
     local5 = params.local5
     local7 = params.local7
 
@@ -773,8 +767,7 @@ def test_lss_zeroed_branches_reduce_to_fuse():
 
 
 def test_lss_shape_preservation():
-    cfg = _micro_config(channels=3)
-    params = init_block_params(cfg)
+    params = init_block_params(Rng(3), _micro_config(), channels=3, hss_blocks=1)
     x = Tensor(np.random.default_rng(31).standard_normal((3, 8, 8)).astype(np.float32))
     assert lss_forward(x, params).shape == (3, 8, 8)
 
@@ -783,8 +776,8 @@ def test_lss_shape_preservation():
 
 
 def test_init_deterministic():
-    a = init_block_params(_micro_config(seed=77))
-    b = init_block_params(_micro_config(seed=77))
+    a = init_block_params(Rng(77), _micro_config(), channels=4, hss_blocks=1)
+    b = init_block_params(Rng(77), _micro_config(), channels=4, hss_blocks=1)
     assert a.fuse_weight.tobytes() == b.fuse_weight.tobytes()
     for ha, hb in zip(a.hss, b.hss):
         assert ha.in_weight.tobytes() == hb.in_weight.tobytes()
@@ -792,16 +785,14 @@ def test_init_deterministic():
 
 
 def test_init_different_seeds_differ():
-    a = init_block_params(_micro_config(seed=1))
-    b = init_block_params(_micro_config(seed=2))
+    a = init_block_params(Rng(1), _micro_config(), channels=4, hss_blocks=1)
+    b = init_block_params(Rng(2), _micro_config(), channels=4, hss_blocks=1)
     assert a.fuse_weight.tobytes() != b.fuse_weight.tobytes()
 
 
 def test_init_fan_in_scaling():
     # a 1x1 conv over 16 input channels draws from [-0.25, 0.25]
-    from ssmad.blocks import init_conv_block
-
-    p = init_conv_block(Rng(0), in_ch=16, out_ch=8, kernel=1)
+    p = init_conv_block(Rng(0), in_ch=16, out_ch=8)
     assert np.abs(p.weight).max() <= 0.25
     assert np.abs(p.weight).max() > 0.2  # the bound is actually approached
     np.testing.assert_array_equal(p.bias, 0)
@@ -810,7 +801,7 @@ def test_init_fan_in_scaling():
 
 
 def test_init_bank_conventions():
-    p = init_hss_params(Rng(3), channels=2, state_size=3)
+    p = init_hss_params(Rng(3), DecoderConfig(state_size=3), channels=2)
     inner = p.inner_channels
     k = len(p.directions)
     assert p.bank.a.shape == (k, inner, 3)
@@ -822,12 +813,12 @@ def test_init_bank_conventions():
 
 def test_direction_count_validation():
     with pytest.raises(ValueError):
-        init_hss_params(Rng(0), channels=2, directions=(
-            ScanDirection.FORWARD, ScanDirection.REVERSE, ScanDirection.WH_FORWARD))
+        init_hss_params(Rng(0), DecoderConfig(directions=(
+            ScanDirection.FORWARD, ScanDirection.REVERSE, ScanDirection.WH_FORWARD)), channels=2)
     assert 3 not in ALLOWED_DIRECTION_COUNTS
 
 
 def test_duplicate_directions_rejected():
     with pytest.raises(ValueError):
-        init_hss_params(Rng(0), channels=2, directions=(
-            ScanDirection.FORWARD, ScanDirection.FORWARD))
+        init_hss_params(Rng(0), DecoderConfig(directions=(
+            ScanDirection.FORWARD, ScanDirection.FORWARD)), channels=2)

@@ -20,6 +20,7 @@ from ssmad.scans import (
     ScanMethod,
     ScanSchedule,
     UnsupportedGeometry,
+    _cached_schedule,
     base_schedule,
     gather_sequence,
     hilbert_matrix,
@@ -46,6 +47,26 @@ def _assert_curve_valid(ranks):
         assert abs(r0 - r1) + abs(c0 - c1) == 1, f"rank {k}->{k + 1} not adjacent"
 
 
+def _block_hilbert(n):
+    """Oracle: the order-n rank matrix built level by level with np.block
+    from the module docstring's recursion, the form ``hilbert_matrix``
+    replaced."""
+    h = np.array([[1, 2], [4, 3]], dtype=np.int64)
+    for m in range(1, n):
+        q = 4**m
+        e = np.ones_like(h)
+        if m % 2 == 0:
+            tr = q * e + h.T
+            bl = (4 * q + 1) * e - h[::-1, :]
+            br = (3 * q + 1) * e - h[:, ::-1].T
+        else:
+            tr = (4 * q + 1) * e - h[:, ::-1]
+            bl = q * e + h.T
+            br = (3 * q + 1) * e - h.T[:, ::-1]
+        h = np.block([[h, tr], [bl, br]])
+    return h
+
+
 def _geometry_ok(method, h, w):
     if method is ScanMethod.HILBERT:
         return h == w and h >= 2 and (h & (h - 1)) == 0
@@ -58,26 +79,31 @@ def _geometry_ok(method, h, w):
 
 
 def test_hilbert_base_case():
-    grid = hilbert_matrix(1)
-    np.testing.assert_array_equal(grid.ranks, [[1, 2], [4, 3]])
+    np.testing.assert_array_equal(hilbert_matrix(1), [[1, 2], [4, 3]])
 
 
 def test_hilbert_order_two():
-    grid = hilbert_matrix(2)
     want = [
         [1, 2, 15, 16],
         [4, 3, 14, 13],
         [5, 8, 9, 12],
         [6, 7, 10, 11],
     ]
-    np.testing.assert_array_equal(grid.ranks, want)
+    np.testing.assert_array_equal(hilbert_matrix(2), want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hilbert_validity(n):
-    grid = hilbert_matrix(n)
-    assert grid.ranks.shape == (2**n, 2**n)
-    _assert_curve_valid(grid.ranks)
+    ranks = hilbert_matrix(n)
+    assert ranks.shape == (2**n, 2**n)
+    _assert_curve_valid(ranks)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_HILBERT_ORDER + 1))
+def test_hilbert_matches_block_oracle(n):
+    got = hilbert_matrix(n)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _block_hilbert(n))
 
 
 def test_hilbert_order_bounds():
@@ -158,6 +184,23 @@ def test_schedule_refuses_too_many_cells_before_allocating(method, h, w):
 )
 def test_schedule_takes_the_largest_allowed_grid(method, h, w):
     assert base_schedule(method, h, w).length == h * w
+
+
+@pytest.mark.parametrize("direction", [ScanDirection.FORWARD, ScanDirection.REVERSE])
+def test_largest_hilbert_schedule_memory(direction):
+    # order and inverse take 32 MB each at 2048 x 2048; building them,
+    # rank matrix included, may peak at five times the order
+    side = 2048
+    assert side * side == MAX_GRID_CELLS
+    build = _cached_schedule.__wrapped__  # a cached schedule would cost nothing
+    tracemalloc.start()
+    try:
+        s = build(ScanMethod.HILBERT, direction, side, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.length == side * side
+    assert peak <= 5 * 8 * side * side
 
 
 def test_zorder_rejects_non_power_of_two():
