@@ -812,13 +812,20 @@ def test_init_bank_conventions():
 
 
 def test_direction_count_validation():
-    with pytest.raises(ValueError):
-        init_hss_params(Rng(0), DecoderConfig(directions=(
-            ScanDirection.FORWARD, ScanDirection.REVERSE, ScanDirection.WH_FORWARD)), channels=2)
+    # the config and the block parameters each reject the count
+    bad = (ScanDirection.FORWARD, ScanDirection.REVERSE, ScanDirection.WH_FORWARD)
+    with pytest.raises(ValueError, match="direction count"):
+        DecoderConfig(directions=bad)
+    p = init_hss_params(Rng(0), _micro_config(), channels=2)
+    with pytest.raises(ValueError, match="direction count"):
+        replace(p, directions=bad)
     assert 3 not in ALLOWED_DIRECTION_COUNTS
 
 
 def test_duplicate_directions_rejected():
-    with pytest.raises(ValueError):
-        init_hss_params(Rng(0), DecoderConfig(directions=(
-            ScanDirection.FORWARD, ScanDirection.FORWARD)), channels=2)
+    bad = (ScanDirection.FORWARD, ScanDirection.FORWARD)
+    with pytest.raises(ValueError, match="distinct"):
+        DecoderConfig(directions=bad)
+    p = init_hss_params(Rng(0), _micro_config(), channels=2)
+    with pytest.raises(ValueError, match="distinct"):
+        replace(p, directions=bad)
