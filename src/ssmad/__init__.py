@@ -21,19 +21,7 @@ from .scans import (
     make_schedule,
     scatter_sequence,
 )
-from .ssm import (
-    SelectiveInputs,
-    SsmDiscrete,
-    SsmParams,
-    build_conv_kernel,
-    discretize,
-    gradcheck,
-    scan_convolutional,
-    scan_parallel,
-    scan_recurrent,
-    selective_scan,
-    selective_scan_backward,
-)
+from .ssm import SsmDiscrete, scan_recurrent
 from .blocks import (
     ConvBParams,
     HssParams,

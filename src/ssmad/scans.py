@@ -245,16 +245,24 @@ def _cached_schedule(method: ScanMethod, direction: ScanDirection, h: int, w: in
     bh, bw = (w, h) if transpose else (h, w)
     order = base_schedule(method, bh, bw).order
     if transpose or rotate:
+        if rotate and h != w:
+            raise NonSquareRotation(
+                f"rot90 directions need a square grid, got {h}x{w}"
+            )
+        # rows and columns are mapped in place, and the base order and the
+        # columns are dropped once read, so at most three full-grid arrays
+        # are alive at once
         r, c = np.divmod(order, bw)
+        del order
         if transpose:
             r, c = c, r
         if rotate:
-            if h != w:
-                raise NonSquareRotation(
-                    f"rot90 directions need a square grid, got {h}x{w}"
-                )
-            r, c = c, h - 1 - r
-        order = r * w + c
+            np.subtract(h - 1, r, out=r)
+            r, c = c, r
+        np.multiply(r, w, out=r)
+        r += c
+        del c
+        order = r
     if reverse:
         order = order[::-1]
     return ScanSchedule(height=h, width=w, order=order)

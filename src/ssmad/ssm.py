@@ -9,15 +9,14 @@ diagonal state matrix is discretised by zero-order hold over a step delta:
 with the series fallback  delta * b * (1 + z/2 + z^2/6),  z = delta * a,
 whenever |z| < 1e-4 (this also covers a = 0 exactly).
 
-Three equivalent evaluations of the resulting linear recurrence
+The resulting linear recurrence
     h_t = a_bar * h_{t-1} + b_bar * x_t,   y_t = <c, h_t>
-are provided: a sequential scan, a truncated-convolution form with kernel
-K[k] = <c, a_bar^k * b_bar>, and the chunked form of Mamba-2's state-space
-dual (Dao & Gu 2024).  The chunked form is one private core shared by
-``scan_parallel`` (one system) and ``ssm_bank_scan`` (a bank of C
-independent single-channel systems, the decoder's scan): a lower-triangular
-Toeplitz matmul inside each chunk of SCAN_CHUNK steps, plus a prefix scan
-over a fixed balanced tree that carries the state across chunk boundaries.
+is evaluated two ways: ``scan_recurrent`` runs it step by step for one
+system and is the oracle, and ``ssm_bank_scan``, the decoder's scan, runs
+a bank of C independent single-channel systems in the chunked form of
+Mamba-2's state-space dual (Dao & Gu 2024): a lower-triangular Toeplitz
+matmul inside each chunk of SCAN_CHUNK steps, plus a prefix scan over a
+fixed balanced tree that carries the state across chunk boundaries.
 Every chunk shares one step a_bar^T, so the carry runs over the real
 chunks only, with no padding to a power of two: a tree level that joins
 runs of 2^k chunks multiplies by a_bar^(T 2^k), made by squaring.
@@ -32,12 +31,7 @@ together.  A float64 sequence whose length is a multiple of SCAN_CHUNK
 copied into a zero-padded float64 array.  The chunk length is a constant
 rather than a function of the input or the machine, and no threads are
 used, so every output byte depends only on the parameters and the
-sequence.
-
-``selective_scan`` generalises the recurrence to per-step delta_t, b_t, c_t
-(input-dependent parameters); ``selective_scan_backward`` is its analytic
-reverse-mode differentiation, validated against central finite differences
-by ``gradcheck``.  All accumulation happens in float64.
+sequence.  All accumulation happens in float64.
 """
 
 from __future__ import annotations
@@ -46,25 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Rng, Tensor
+from .tensor import Tensor
 
 __all__ = [
-    "SsmParams",
     "SsmDiscrete",
-    "SelectiveInputs",
-    "ScanGradients",
     "SERIES_THRESHOLD",
     "SCAN_CHUNK",
-    "discretize",
     "scan_recurrent",
-    "build_conv_kernel",
-    "scan_convolutional",
-    "scan_parallel",
     "ssm_bank_scan",
-    "selective_scan",
-    "selective_scan_backward",
-    "gradcheck",
-    "random_selective_inputs",
 ]
 
 SERIES_THRESHOLD = 1e-4
@@ -72,31 +55,6 @@ SERIES_THRESHOLD = 1e-4
 # steps per chunk of the chunked scan: the Toeplitz block is SCAN_CHUNK^2 per
 # channel, the carry scan runs over L / SCAN_CHUNK chunks
 SCAN_CHUNK = 16
-
-
-@dataclass(frozen=True)
-class SsmParams:
-    """Continuous-time diagonal SSM: a, b, c of length N and a step size."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    delta: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a non-empty vector")
-            object.__setattr__(self, name, arr)
-        if not (self.a.size == self.b.size == self.c.size):
-            raise ValueError("a, b, c must share one length")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-
-    @property
-    def state_size(self) -> int:
-        return self.a.size
 
 
 @dataclass(frozen=True)
@@ -121,53 +79,6 @@ class SsmDiscrete:
         return self.a_bar.size
 
 
-@dataclass(frozen=True)
-class SelectiveInputs:
-    """Per-step scan inputs: x, delta (L,), b, c (L, N), shared a (N,)."""
-
-    x: np.ndarray
-    delta: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("x", "delta", "b", "c", "a"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-        if self.x.ndim != 1 or self.x.size < 1:
-            raise ValueError("x must be a non-empty vector")
-        length = self.x.size
-        n = self.a.size
-        if self.a.ndim != 1 or n < 1:
-            raise ValueError("a must be a non-empty vector")
-        if self.delta.shape != (length,):
-            raise ValueError("delta must match the sequence length")
-        if not (self.delta > 0).all():
-            raise ValueError("delta entries must be positive")
-        if self.b.shape != (length, n) or self.c.shape != (length, n):
-            raise ValueError("b and c must have shape (length, state_size)")
-
-    @property
-    def length(self) -> int:
-        return self.x.size
-
-    @property
-    def state_size(self) -> int:
-        return self.a.size
-
-
-@dataclass(frozen=True)
-class ScanGradients:
-    """Gradients of sum(dy * y) with respect to every selective-scan input."""
-
-    d_x: np.ndarray
-    d_delta: np.ndarray
-    d_b: np.ndarray
-    d_c: np.ndarray
-    d_a: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # discretisation helpers
 
@@ -182,16 +93,6 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def _phi_prime(z: np.ndarray) -> np.ndarray:
-    """d/dz of _phi: (exp(z)(z-1)+1)/z^2, series 1/2 + z/3 + z^2/8 near 0."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) < SERIES_THRESHOLD
-    safe = np.where(small, 1.0, z)
-    exact = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-    series = 0.5 + z / 3.0 + (z * z) / 8.0
-    return np.where(small, series, exact)
-
-
 def zoh(a: np.ndarray, delta, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise zero-order hold; broadcasts delta against a and b."""
     a = np.asarray(a, dtype=np.float64)
@@ -203,13 +104,8 @@ def zoh(a: np.ndarray, delta, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_bar, b_bar
 
 
-def discretize(p: SsmParams) -> SsmDiscrete:
-    a_bar, b_bar = zoh(p.a, p.delta, p.b)
-    return SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=p.c.copy())
-
-
 # ---------------------------------------------------------------------------
-# LTI scans
+# scans
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -228,28 +124,6 @@ def scan_recurrent(d: SsmDiscrete, x) -> Tensor:
     for t in range(seq.size):
         h = d.a_bar * h + d.b_bar * seq[t]
         y[t] = d.c @ h
-    return Tensor(y.astype(np.float32))
-
-
-def build_conv_kernel(d: SsmDiscrete, length: int) -> Tensor:
-    """K[k] = <c, a_bar^k * b_bar> for k = 0 .. length-1."""
-    if length < 1:
-        raise ValueError("kernel length must be >= 1")
-    out = np.empty(length, dtype=np.float64)
-    r = d.c * d.b_bar
-    for k in range(length):
-        out[k] = r.sum()
-        r = r * d.a_bar
-    return Tensor(out.astype(np.float32))
-
-
-def scan_convolutional(kernel, x) -> Tensor:
-    """Causal convolution y_t = sum_{j<=t} K[j] x_{t-j}; lengths must match."""
-    k = _as_sequence(kernel)
-    seq = _as_sequence(x)
-    if k.size != seq.size:
-        raise ValueError(f"kernel length {k.size} != sequence length {seq.size}")
-    y = np.convolve(seq, k)[: seq.size]
     return Tensor(y.astype(np.float32))
 
 
@@ -366,15 +240,6 @@ def _chunked_scan(
     return y.reshape(channels, n_chunks * chunk)[:, :length]
 
 
-def scan_parallel(d: SsmDiscrete, x) -> Tensor:
-    """Chunked evaluation of the recurrence: the one-channel case of the
-    core that ``ssm_bank_scan`` runs, with powers a_bar^k."""
-    seq = _as_sequence(x)
-    powers = d.a_bar ** np.arange(SCAN_CHUNK + 1.0)[:, None, None]
-    y = _chunked_scan(powers, d.b_bar[None], d.c[None], seq[None])[0]
-    return Tensor(y.astype(np.float32))
-
-
 def ssm_bank_scan(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, delta: np.ndarray, seq: np.ndarray
 ) -> np.ndarray:
@@ -395,143 +260,3 @@ def ssm_bank_scan(
     powers = np.arange(SCAN_CHUNK + 1.0)[:, None, None] * z
     np.exp(powers, out=powers)
     return _chunked_scan(powers, b_bar, np.asarray(c, dtype=np.float64), seq)
-
-
-# ---------------------------------------------------------------------------
-# selective scan
-
-
-def _selective_forward(s: SelectiveInputs):
-    """Float64 forward pass; returns (y, h, a_bar, b_bar, z, phi)."""
-    z = s.delta[:, None] * s.a[None, :]
-    a_bar = np.exp(z)
-    phi = _phi(z)
-    b_bar = s.delta[:, None] * phi * s.b
-    h = np.empty((s.length, s.state_size), dtype=np.float64)
-    state = np.zeros(s.state_size, dtype=np.float64)
-    for t in range(s.length):
-        state = a_bar[t] * state + b_bar[t] * s.x[t]
-        h[t] = state
-    y = np.einsum("tn,tn->t", s.c, h)
-    return y, h, a_bar, b_bar, z, phi
-
-
-def selective_scan(s: SelectiveInputs) -> Tensor:
-    """y_t = <c_t, h_t> with h_t = exp(delta_t a) h_{t-1} + b_bar_t x_t."""
-    y, *_ = _selective_forward(s)
-    return Tensor(y.astype(np.float32))
-
-
-def selective_scan_backward(s: SelectiveInputs, dy) -> ScanGradients:
-    """Analytic gradients of sum(dy * y) for every input field.
-
-    The adjoint of the state runs backwards:
-        lam_t = dy_t c_t + a_bar_{t+1} lam_{t+1}
-    and the parameter gradients follow from
-        a_bar = exp(z),  b_bar = delta * phi(z) * b,  z = delta * a.
-    """
-    dy = np.ascontiguousarray(dy, dtype=np.float64)
-    if dy.shape != (s.length,):
-        raise ValueError("dy must match the sequence length")
-    _, h, a_bar, b_bar, z, phi = _selective_forward(s)
-    phi_p = _phi_prime(z)
-
-    length, n = s.length, s.state_size
-    d_x = np.empty(length, dtype=np.float64)
-    d_delta = np.empty(length, dtype=np.float64)
-    d_b = np.empty((length, n), dtype=np.float64)
-    d_c = np.empty((length, n), dtype=np.float64)
-    d_a = np.zeros(n, dtype=np.float64)
-
-    lam = np.zeros(n, dtype=np.float64)
-    for t in range(length - 1, -1, -1):
-        lam = lam + dy[t] * s.c[t]
-        d_c[t] = dy[t] * h[t]
-        h_prev = h[t - 1] if t > 0 else np.zeros(n, dtype=np.float64)
-        d_abar = lam * h_prev
-        d_bbar = lam * s.x[t]
-        d_x[t] = lam @ b_bar[t]
-        d_b[t] = d_bbar * s.delta[t] * phi[t]
-        d_delta[t] = np.sum(
-            d_abar * s.a * a_bar[t]
-            + d_bbar * (phi[t] + z[t] * phi_p[t]) * s.b[t]
-        )
-        d_a += (
-            d_abar * s.delta[t] * a_bar[t]
-            + d_bbar * s.delta[t] ** 2 * phi_p[t] * s.b[t]
-        )
-        lam = a_bar[t] * lam
-
-    return ScanGradients(d_x=d_x, d_delta=d_delta, d_b=d_b, d_c=d_c, d_a=d_a)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def random_selective_inputs(length: int, state_size: int, rng: Rng) -> SelectiveInputs:
-    """Well-conditioned random instance: decaying a, moderate steps."""
-    n = state_size
-    return SelectiveInputs(
-        x=rng.uniform(length, -1.0, 1.0),
-        delta=rng.uniform(length, 0.1, 1.0),
-        b=rng.uniform(length * n, -1.0, 1.0).reshape(length, n),
-        c=rng.uniform(length * n, -1.0, 1.0).reshape(length, n),
-        a=rng.uniform(n, -2.0, -0.1),
-    )
-
-
-def _loss(s: SelectiveInputs, dy: np.ndarray) -> float:
-    y, *_ = _selective_forward(s)
-    return float(dy @ y)
-
-
-def gradcheck(length: int, state_size: int, seed: int) -> dict:
-    """Compare analytic gradients against central differences.
-
-    Every component of every input field is perturbed by +-1e-4; the
-    relative error of a pair (g, f) is |g - f| / max(|g|, |f|, 1e-6).
-    Returns a report dict that is identical run to run for a given seed.
-    """
-    step = 1e-4
-    rng = Rng(seed)
-    s = random_selective_inputs(length, state_size, rng)
-    dy = rng.uniform(length, -1.0, 1.0)
-    grads = selective_scan_backward(s, dy)
-
-    fields = {
-        "x": (s.x, grads.d_x),
-        "delta": (s.delta, grads.d_delta),
-        "b": (s.b, grads.d_b),
-        "c": (s.c, grads.d_c),
-        "a": (s.a, grads.d_a),
-    }
-    worst = 0.0
-    worst_field = ""
-    checked = 0
-    for name, (value, analytic) in fields.items():
-        flat = value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = _loss(s, dy)
-            flat[i] = orig - step
-            down = _loss(s, dy)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            g = float(analytic.reshape(-1)[i])
-            rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
-            checked += 1
-            if rel > worst:
-                worst = rel
-                worst_field = name
-
-    return {
-        "length": length,
-        "state_size": state_size,
-        "seed": seed,
-        "step": step,
-        "entries_checked": checked,
-        "max_rel_error": worst,
-        "worst_field": worst_field,
-    }

@@ -1,10 +1,24 @@
 """Acceptance gate.
 
-One test per headline guarantee.  Each prints a single PASS/FAIL line with
-the measured runtime against its budget (visible under ``pytest -s``), then
-asserts, so a red run names exactly which guarantee broke.  The oracles here
-are intentionally self-contained re-derivations, sharing no code with the
-library or the other test modules.
+One test per headline guarantee:
+
+  * the Hilbert rank matrix has its base case and is a valid curve
+    through order six;
+  * every method x direction schedule is a permutation whose inverse and
+    gather/scatter round trip are exact;
+  * the sequential scan equals the recurrence unrolled into a convolution;
+  * the chunked bank scan, the decoder's scan, matches the sequential scan;
+  * the HSS and LSS residual identities hold bit-exactly;
+  * the metrics meet their oracles and worked examples, and the
+    seven-metric mean formats to the headline cell;
+  * the end-to-end smoke run is deterministic.
+
+Each prints a single PASS/FAIL line with the measured runtime against its
+budget (visible under ``pytest -s``), then asserts, so a red run names
+exactly which guarantee broke.  The oracles here are intentionally
+self-contained re-derivations, sharing no code with the library or the
+other test modules; the one exception is the bank scan's, the sequential
+scan, which the guarantee before it checks.
 """
 
 import json
@@ -37,15 +51,7 @@ from ssmad.scans import (
     make_schedule,
     scatter_sequence,
 )
-from ssmad.ssm import (
-    SsmParams,
-    build_conv_kernel,
-    discretize,
-    gradcheck,
-    scan_convolutional,
-    scan_parallel,
-    scan_recurrent,
-)
+from ssmad.ssm import SsmDiscrete, scan_recurrent, ssm_bank_scan, zoh
 from ssmad.tensor import BinaryMask, Rng, Tensor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,16 +142,15 @@ def test_recurrence_matches_convolution_on_random_instances():
     for _ in range(1000):
         n = 1 + int(rng.uniform(1, 0, 8)[0])
         length = 1 + int(rng.uniform(1, 0, 256)[0])
-        p = SsmParams(
-            a=rng.uniform(n, -2.0, -0.01),
-            b=rng.uniform(n, -1.0, 1.0),
-            c=rng.uniform(n, -1.0, 1.0),
-            delta=float(rng.uniform(1, 0.05, 1.0)[0]),
-        )
-        d = discretize(p)
+        a = rng.uniform(n, -2.0, -0.01)
+        b = rng.uniform(n, -1.0, 1.0)
+        c = rng.uniform(n, -1.0, 1.0)
+        a_bar, b_bar = zoh(a, float(rng.uniform(1, 0.05, 1.0)[0]), b)
         x = rng.uniform(length, -1.0, 1.0)
-        y_rec = scan_recurrent(d, x).array
-        y_conv = scan_convolutional(build_conv_kernel(d, length), x).array
+        y_rec = scan_recurrent(SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c), x).array
+        # the recurrence unrolled: y = K * x with K[k] = <c, a_bar^k b_bar>
+        kernel = (c * b_bar * a_bar ** np.arange(length)[:, None]).sum(axis=1)
+        y_conv = np.convolve(x, kernel)[:length]
         scale = max(float(np.max(np.abs(y_rec))), 1e-30)
         worst = max(worst, float(np.max(np.abs(y_conv - y_rec))) / scale)
     _verdict(
@@ -163,39 +168,22 @@ def test_parallel_scan_matches_sequential():
     for length in (1, 2, 3, 5, 17, 100, 512, 1023, 2048, 4096):
         for _ in range(3):
             n = 1 + int(rng.uniform(1, 0, 8)[0])
-            p = SsmParams(
-                a=rng.uniform(n, -2.0, -0.01),
-                b=rng.uniform(n, -1.0, 1.0),
-                c=rng.uniform(n, -1.0, 1.0),
-                delta=float(rng.uniform(1, 0.05, 1.0)[0]),
-            )
-            d = discretize(p)
+            a = rng.uniform(n, -2.0, -0.01)
+            b = rng.uniform(n, -1.0, 1.0)
+            c = rng.uniform(n, -1.0, 1.0)
+            delta = float(rng.uniform(1, 0.05, 1.0)[0])
             x = rng.uniform(length, -1.0, 1.0)
-            y_seq = scan_recurrent(d, x).array
-            y_par = scan_parallel(d, x).array
+            a_bar, b_bar = zoh(a, delta, b)
+            y_seq = scan_recurrent(SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c), x).array
+            # the chunked scan as the decoder runs it, on a bank of one channel
+            y_par = ssm_bank_scan(a[None], b[None], c[None], np.array([delta]), x[None])[0]
             scale = max(float(np.max(np.abs(y_seq))), 1e-30)
             worst = max(worst, float(np.max(np.abs(y_par - y_seq))) / scale)
     _verdict(
-        f"parallel vs sequential, worst rel {worst:.2e}",
+        f"chunked bank scan vs sequential, worst rel {worst:.2e}",
         worst <= 1e-6,
         time.perf_counter() - t0,
         10.0,
-    )
-
-
-def test_backward_pass_gradcheck_on_random_instances():
-    t0 = time.perf_counter()
-    rng = Rng(303)
-    worst = 0.0
-    for i in range(100):
-        length = 1 + int(rng.uniform(1, 0, 16)[0])
-        n = 1 + int(rng.uniform(1, 0, 4)[0])
-        worst = max(worst, gradcheck(length, n, seed=9000 + i)["max_rel_error"])
-    _verdict(
-        f"gradcheck, worst rel {worst:.2e}",
-        worst <= 1e-4,
-        time.perf_counter() - t0,
-        30.0,
     )
 
 

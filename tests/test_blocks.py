@@ -501,24 +501,36 @@ def test_scan_path_permutation_consistency(method, direction):
 
 
 @pytest.mark.parametrize("n", [1, 4])
-@pytest.mark.parametrize("length", [1, 15, 16, 17, 53, 1024])
+@pytest.mark.parametrize(
+    "length", [1, 2, 3, 5, 15, 16, 17, 33, 53, 100, 1023, 1024, 4096]
+)
 def test_bank_scan_matches_single_channel_kernel(length, n):
     # lengths below, at, one past and between multiples of the chunk, and
     # many chunks; channel 0 has a = 0, the series branch of zoh, where every
-    # power of a_bar is exactly 1
+    # power of a_bar is exactly 1; the last of the n + 1 states of every
+    # channel has a = -1e5, where every power of a_bar but the zeroth
+    # underflows to exactly 0; the last channel is a running sum
     from ssmad.ssm import SsmDiscrete, scan_recurrent
 
     rng = np.random.default_rng(23 + length + n)
-    channels = 4
-    a = -rng.uniform(0.1, 2, (channels, n))
+    channels = 5
+    a = -rng.uniform(0.1, 2, (channels, n + 1))
     a[0] = 0.0
-    b = rng.uniform(-1, 1, (channels, n))
-    c = rng.uniform(-1, 1, (channels, n))
+    a[:, -1] = -1e5
+    b = rng.uniform(-1, 1, (channels, n + 1))
+    c = rng.uniform(-1, 1, (channels, n + 1))
     delta = rng.uniform(0.05, 1.0, channels)
-    delta[-1] = 1.0
     seq = rng.standard_normal((channels, length))
+    # a = 0, b = c = delta = x = 1 in state 0; the other states are read out
+    # with c = 0
+    a[-1, :-1] = 0.0
+    b[-1, 0] = c[-1, 0] = delta[-1] = 1.0
+    c[-1, 1:] = 0.0
+    seq[-1] = 1.0
     got = ssm_bank_scan(a, b, c, delta, seq)
     assert got.shape == (channels, length)
+    assert np.all(np.exp(a[:, -1] * delta) == 0.0)
+    assert got[-1].tobytes() == np.arange(1.0, length + 1).tobytes()
     for ch in range(channels):
         a_bar, b_bar = zoh(a[ch], delta[ch], b[ch])
         d = SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c[ch])

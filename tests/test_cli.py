@@ -182,25 +182,18 @@ def test_scan_order_output_memory_stays_near_the_schedule(tmp_path, fmt):
 
 
 def test_ssm_check_passes():
-    r = _run(
-        ["ssm-check", "--instances", "5", "--grad-instances", "2", "--max-len", "32"]
-    )
+    r = _run(["ssm-check", "--instances", "5", "--max-len", "32"])
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout)
+    assert set(report) == {"seed", "max_len", "bank_vs_recurrent", "pass"}
     assert report["pass"] is True
-    for key in (
-        "lti_equivalence",
-        "parallel_vs_recurrent",
-        "selective_lti_reduction",
-        "gradcheck",
-        "bank_vs_recurrent",
-    ):
-        assert report[key]["pass"] is True
-        assert report[key]["worst_rel_error"] <= report[key]["tolerance"]
+    check = report["bank_vs_recurrent"]
+    assert check["pass"] is True and check["instances"] == 5
+    assert check["worst_rel_error"] <= check["tolerance"] == 1e-6
 
 
 def test_ssm_check_report_is_deterministic():
-    args = ["ssm-check", "--seed", "9", "--instances", "4", "--grad-instances", "1"]
+    args = ["ssm-check", "--seed", "9", "--instances", "4"]
     first = _run(args)
     second = _run(args)
     assert first.returncode == second.returncode == 0
@@ -208,34 +201,20 @@ def test_ssm_check_report_is_deterministic():
 
 
 def test_ssm_check_degenerate_length_one():
-    r = _run(
-        ["ssm-check", "--max-len", "1", "--instances", "3", "--grad-instances", "1"]
-    )
+    r = _run(["ssm-check", "--max-len", "1", "--instances", "3"])
     assert r.returncode == 0
 
 
 def test_ssm_check_failure_exits_one(monkeypatch, capsys, tmp_path):
-    # fault injection: make the gradient check report garbage
-    monkeypatch.setattr(
-        cli, "gradcheck", lambda *a, **k: {"max_rel_error": 1.0}
-    )
+    # fault injection: the bank scan is off by one everywhere
+    bank_scan = cli.ssm_bank_scan
+    monkeypatch.setattr(cli, "ssm_bank_scan", lambda *a: bank_scan(*a) + 1.0)
     out = tmp_path / "report.json"
-    code = cli.main(
-        [
-            "ssm-check",
-            "--instances",
-            "2",
-            "--grad-instances",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
+    code = cli.main(["ssm-check", "--instances", "2", "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     assert report["pass"] is False
-    assert report["gradcheck"]["pass"] is False
-    assert report["lti_equivalence"]["pass"] is True
+    assert report["bank_vs_recurrent"]["pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +559,7 @@ def _with_outputs(args, fixture_dirs, tmp_path):
         (["synth", "--kind", "normal", "--size", "16", "--channels", "100000000"],
          "MAX_MAP_CELLS"),
         (["bench", "--sizes", "10000000", "--repeats", "1"], "MAX_GRID_CELLS"),
-        (["ssm-check", "--max-len", "1000000000", "--instances", "1", "--grad-instances", "1"],
-         "MAX_GRID_CELLS"),
+        (["ssm-check", "--max-len", "1000000000", "--instances", "1"], "MAX_GRID_CELLS"),
     ],
     ids=["scan-order", "map-size", "synth-size", "synth-channels", "bench-sizes",
          "ssm-check-max-len"],
@@ -788,10 +766,10 @@ def test_bench_scan_suite_rows():
     assert r.returncode == 0, r.stderr
     lines = r.stdout.strip().splitlines()
     assert lines[0] == "kernel,size,median_ns_per_elem"
-    assert len(lines) == 1 + 2 * 4  # two sizes, four kernels
+    assert len(lines) == 1 + 2 * 2  # two sizes, two kernels
     for line in lines[1:]:
         kernel, size, ns = line.split(",")
-        assert kernel in ("recurrent", "parallel", "selective", "bank")
+        assert kernel in ("recurrent", "bank")
         assert int(size) in (64, 128)
         assert float(ns) > 0.0
 
@@ -802,6 +780,12 @@ def test_bench_has_no_suite_option():
     assert "--suite" in r.stderr
 
 
+def test_ssm_check_has_no_grad_instances_option():
+    r = _run(["ssm-check", "--grad-instances", "1"])
+    assert r.returncode == 2
+    assert "--grad-instances" in r.stderr
+
+
 @pytest.mark.parametrize(
     "args, named",
     [
@@ -810,15 +794,12 @@ def test_bench_has_no_suite_option():
         (["bench", "--sizes", "64", "--repeats", "0"], "--repeats"),
         (["ssm-check", "--max-len", "0"], "--max-len"),
         (["ssm-check", "--instances", "0"], "--instances"),
-        (["ssm-check", "--grad-instances", "0"], "--grad-instances"),
-        (["ssm-check", "--instances", "0", "--grad-instances", "0"], "--instances"),
         # the manifest does not exist: the limit is refused before any file is read
         *[(["eval", "--manifest", "no-such-manifest.json", "--fpr-limit", v], "--fpr-limit")
           for v in ("0", "1.5", "-1", "nan", "inf")],
     ],
-    ids=["sizes-x", "sizes-0", "repeats-0", "max-len-0", "instances-0", "grad-instances-0",
-         "nothing-checked", "fpr-limit-0", "fpr-limit-1.5", "fpr-limit-neg", "fpr-limit-nan",
-         "fpr-limit-inf"],
+    ids=["sizes-x", "sizes-0", "repeats-0", "max-len-0", "instances-0", "fpr-limit-0",
+         "fpr-limit-1.5", "fpr-limit-neg", "fpr-limit-nan", "fpr-limit-inf"],
 )
 def test_numeric_option_out_of_range_exits_two(args, named):
     r = _run(args)

@@ -186,10 +186,11 @@ def test_schedule_takes_the_largest_allowed_grid(method, h, w):
     assert base_schedule(method, h, w).length == h * w
 
 
-@pytest.mark.parametrize("direction", [ScanDirection.FORWARD, ScanDirection.REVERSE])
+@pytest.mark.parametrize("direction", list(ScanDirection))
 def test_largest_hilbert_schedule_memory(direction):
     # order and inverse take 32 MB each at 2048 x 2048; building them,
-    # rank matrix included, may peak at five times the order
+    # rank matrix and the row/column mapping of transposing and rotating
+    # directions included, may peak at five times the order
     side = 2048
     assert side * side == MAX_GRID_CELLS
     build = _cached_schedule.__wrapped__  # a cached schedule would cost nothing
