@@ -3,7 +3,10 @@
 `_convolution` below is the recurrence unrolled into a causal convolution
 with kernel K[k] = <c, a_bar^k b_bar>, written with numpy alone and sharing
 no code with the module. It is the oracle for the sequential scan, which
-in turn is the oracle for the chunked bank scan.
+in turn is the oracle for the chunked bank scan.  The bank scan is also
+held to closed forms of its own: the impulse response is the kernel K and
+the step response a geometric sum; it is causal, linear and row by row
+independent.
 """
 
 import math
@@ -276,3 +279,151 @@ def test_bank_scan_bytes_match_two_matmul_form(rows, length, layout, bank):
     assert got.shape == want.shape == (rows, length) and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert seq.tobytes() == before  # the unpadded path only reads its input
+
+
+# ------------------------------------------------ bank scan closed forms
+
+
+def _bank(rng, rows, n=4):
+    """A stable float64 bank: a (C, N) < 0, b and c (C, N), delta (C,)."""
+    a = -rng.uniform(0.01, 2.0, (rows, n))
+    b = rng.uniform(-1, 1, (rows, n))
+    c = rng.uniform(-1, 1, (rows, n))
+    delta = rng.uniform(0.05, 1.0, rows)
+    return a, b, c, delta
+
+
+def _bank_kernel(a, b, c, delta, length):
+    """K[c, k] = <c, b_bar a_bar^k>, k < length, in float64."""
+    a_bar, b_bar = zoh(a, delta[:, None], b)
+    k = np.arange(length)[:, None, None]
+    return np.einsum("cn,kcn->ck", c * b_bar, a_bar[None] ** k)
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 32, 33, 100, 1024])
+def test_bank_scan_impulse_response_is_the_kernel(length):
+    # a unit impulse at step 0 reads the kernel out, across chunk ends
+    rng = np.random.default_rng(400 + length)
+    a, b, c, delta = _bank(rng, 3)
+    x = np.zeros((3, length))
+    x[:, 0] = 1.0
+    want = _bank_kernel(a, b, c, delta, length)
+    assert _rel(ssm_bank_scan(a, b, c, delta, x), want) <= 1e-12
+
+
+@pytest.mark.parametrize("start", [0, 1, 15, 16, 17, 40])
+def test_bank_scan_delayed_impulse(start):
+    # an impulse at step s leaves every earlier output exactly 0 and shifts
+    # the kernel by s, whether or not s starts a chunk
+    length = 64
+    rng = np.random.default_rng(17)
+    a, b, c, delta = _bank(rng, 3)
+    x = np.zeros((3, length))
+    x[:, start] = 1.0
+    y = ssm_bank_scan(a, b, c, delta, x)
+    want = _bank_kernel(a, b, c, delta, length)
+    assert not y[:, :start].any()
+    assert _rel(y[:, start:], want[:, : length - start]) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [1, 16, 17, 100, 1024, 4096])
+def test_bank_scan_step_response_is_geometric(length):
+    # x = 1 everywhere: y_t = sum_n c b_bar (1 - a_bar^(t+1)) / (1 - a_bar)
+    rng = np.random.default_rng(500 + length)
+    a, b, c, delta = _bank(rng, 3)
+    y = ssm_bank_scan(a, b, c, delta, np.ones((3, length)))
+    _, b_bar = zoh(a, delta[:, None], b)
+    z = (delta[:, None] * a)[:, None, :]
+    t = np.arange(1.0, length + 1)[None, :, None]
+    want = ((c * b_bar)[:, None, :] * np.expm1(t * z) / np.expm1(z)).sum(axis=2)
+    assert _rel(y, want) <= 1e-12
+
+
+@pytest.mark.parametrize("last", [0, 14, 15, 16, 31, 47])
+def test_bank_scan_is_causal(last):
+    # redrawing the input after step `last` leaves every output up to it
+    # byte for byte unchanged
+    length = 64
+    rng = np.random.default_rng(31)
+    a, b, c, delta = _bank(rng, 3)
+    x = rng.standard_normal((3, length))
+    y = ssm_bank_scan(a, b, c, delta, x)
+    x[:, last + 1:] = rng.standard_normal((3, length - last - 1))
+    y2 = ssm_bank_scan(a, b, c, delta, x)
+    assert y2[:, : last + 1].tobytes() == y[:, : last + 1].tobytes()
+
+
+@pytest.mark.parametrize("rows, length", [(2, 16), (3, 17), (5, 64), (8, 100)])
+def test_bank_scan_rows_are_independent(rows, length):
+    # every row's bytes depend only on that row's parameters and sequence
+    rng = np.random.default_rng(rows * 101 + length)
+    a, b, c, delta = _bank(rng, rows)
+    x = rng.standard_normal((rows, length))
+    y = ssm_bank_scan(a, b, c, delta, x)
+    for r in range(rows):
+        one = ssm_bank_scan(a[r:r + 1], b[r:r + 1], c[r:r + 1], delta[r:r + 1], x[r:r + 1])
+        assert one.tobytes() == y[r:r + 1].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bank_scan_single_step(dtype):
+    # one step carries no state: y_0 = <c, b_bar> x_0
+    rng = np.random.default_rng(8)
+    a, b, c, delta = _bank(rng, 3)
+    x = rng.standard_normal((3, 1)).astype(dtype)
+    y = ssm_bank_scan(a, b, c, delta, x)
+    _, b_bar = zoh(a, delta[:, None], b)
+    assert y.shape == (3, 1) and y.dtype == np.float64
+    np.testing.assert_allclose(y[:, 0], (c * b_bar).sum(axis=1) * x[:, 0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("length", [1, 17, 64])
+@pytest.mark.parametrize("zeroed", ["input", "b", "c"])
+def test_bank_scan_zero_input_or_weights_give_zero(zeroed, length):
+    rng = np.random.default_rng(length)
+    a, b, c, delta = _bank(rng, 3)
+    x = rng.standard_normal((3, length))
+    if zeroed == "input":
+        x[:] = 0.0
+    elif zeroed == "b":
+        b[:] = 0.0
+    else:
+        c[:] = 0.0
+    y = ssm_bank_scan(a, b, c, delta, x)
+    assert y.shape == (3, length) and not y.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(1, 300), seed=st.integers(0, 2**31))
+def test_bank_scan_linearity(length, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c, delta = _bank(rng, 3)
+    x1 = rng.standard_normal((3, length))
+    x2 = rng.standard_normal((3, length))
+    alpha, beta = 0.7, -1.3
+    y1 = ssm_bank_scan(a, b, c, delta, x1)
+    y2 = ssm_bank_scan(a, b, c, delta, x2)
+    lhs = ssm_bank_scan(a, b, c, delta, alpha * x1 + beta * x2)
+    # bounded by the terms of the combination, as in test_scan_linearity
+    scale = abs(alpha) * np.max(np.abs(y1)) + abs(beta) * np.max(np.abs(y2))
+    assert np.max(np.abs(lhs - (alpha * y1 + beta * y2))) <= 1e-12 * max(float(scale), 1e-30)
+
+
+# -------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "a_bar, b_bar, c",
+    [([], [], []), ([[0.5]], [[1.0]], [[1.0]]), ([0.5, 0.5], [1.0], [1.0, 1.0])],
+    ids=["empty", "matrix", "mismatched"],
+)
+def test_ssm_discrete_rejects_bad_vectors(a_bar, b_bar, c):
+    with pytest.raises(ValueError):
+        SsmDiscrete(a_bar=np.array(a_bar), b_bar=np.array(b_bar), c=np.array(c))
+
+
+@pytest.mark.parametrize("x", [[], [[1.0, 2.0]]], ids=["empty", "matrix"])
+def test_scan_recurrent_rejects_non_vector_sequence(x):
+    d = SsmDiscrete(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([1.0]))
+    with pytest.raises(ValueError):
+        scan_recurrent(d, np.array(x))
