@@ -5,7 +5,6 @@ Subcommands:
   ssm-check    the bank scan against the sequential kernel; exit 1 on failure
   forward      pyramid (3 MBT files) + config JSON -> anomaly map + record
   eval         manifest of score maps / masks / image scores -> metrics
-  bench        micro-benchmarks, CSV of (kernel, size, median ns/elem)
   synth        deterministic synthetic fixture directory
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
@@ -17,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -33,6 +30,7 @@ from .metrics import (
     evaluate,
 )
 from .pipeline import (
+    MAX_DECODER_CELLS,
     MAX_MAP_CELLS,
     DecoderConfig,
     FeaturePyramid,
@@ -184,11 +182,11 @@ def _check_bank(rng: Rng, max_len: int) -> list[float]:
     for ch in range(channels):
         a_bar, b_bar = zoh(a[ch], delta[ch], b[ch])
         d = SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c[ch])
-        errors.append(_rel_error(y_bank[ch], scan_recurrent(d, x[ch]).array))
+        errors.append(_rel_error(y_bank[ch], scan_recurrent(d, x[ch])))
     return errors
 
 
-_BANK_TOLERANCE = 1e-6
+_BANK_TOLERANCE = 1e-12
 
 
 def cmd_ssm_check(args) -> int:
@@ -306,9 +304,15 @@ def cmd_forward(args) -> int:
     cfg = _config_from_json(args.config)
     channels = pyramid.channels
     try:
-        cfg.resolved_channels(channels)
+        n_params, cells = cfg.footprint(channels, pyramid.top_resolution)
     except ValueError as exc:
         raise CliError(f"bad config: {exc}") from None
+    if max(n_params, cells) > MAX_DECODER_CELLS:
+        raise CliError(
+            "bad config: stage_depths, hss_per_stage, directions, state_size, expansion "
+            f"and local_kernels give {n_params} parameters and a {cells}-cell array on "
+            f"this pyramid, over MAX_DECODER_CELLS = {MAX_DECODER_CELLS}"
+        )
     try:
         if args.params:
             params = load_decoder_params(args.params, cfg, channels)
@@ -435,56 +439,6 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def _median_ns_per_elem(fn, size: int, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append(time.perf_counter_ns() - t0)
-    return statistics.median(times) / size
-
-
-def cmd_bench(args) -> int:
-    try:
-        sizes = [int(v) for v in args.sizes.split(",") if v]
-    except ValueError:
-        sizes = []
-    if not sizes or min(sizes) < 1:
-        raise CliError(f"--sizes must be positive integers, got {args.sizes!r}")
-    _require_positive(repeats=args.repeats)
-    # the decoder's scan on decode's stage-2 bank shape, 256 channels with
-    # state size 4, where per-call overhead rather than arithmetic bounds
-    # it; timed per channel-step
-    channels = 256
-    _require_bank_cells("sizes", max(sizes), channels)
-    rng = Rng(args.seed)
-    rows = ["kernel,size,median_ns_per_elem"]
-    n = 8
-    d = SsmDiscrete(
-        a_bar=np.exp(rng.uniform(n, -2.0, -0.01)),
-        b_bar=rng.uniform(n, -1.0, 1.0),
-        c=rng.uniform(n, -1.0, 1.0),
-    )
-    a, b, c, delta = _draw_bank(rng, channels, 4)
-    for size in sizes:
-        x = np.sin(np.arange(size) * 0.1) * 0.5
-        xs = np.tile(x, (channels, 1))
-        for name, fn, elems in (
-            ("recurrent", lambda: scan_recurrent(d, x), size),
-            ("bank", lambda: ssm_bank_scan(a, b, c, delta, xs), channels * size),
-        ):
-            rows.append(
-                f"{name},{size},{_median_ns_per_elem(fn, elems, args.repeats):.2f}"
-            )
-
-    _write_text(args.out, "\n".join(rows) + "\n")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # synth
 
 
@@ -544,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fpr-limit", type=float, default=DEFAULT_FPR_LIMIT)
     p.add_argument("--per-category", action="store_true")
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("bench", help="micro-benchmarks")
-    p.add_argument("--sizes", default="64,1024,16384")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic fixture directory")
     p.add_argument("--kind", choices=synth.KINDS, required=True)

@@ -48,6 +48,7 @@ from .blocks import (
     lss_forward,
 )
 from .scans import ScanDirection, ScanMethod
+from .ssm import SCAN_CHUNK
 from .tensor import (
     MbtError,
     Rng,
@@ -77,6 +78,7 @@ __all__ = [
     "SMOOTH_KERNEL",
     "SMOOTH_SIGMA",
     "MAX_MAP_CELLS",
+    "MAX_DECODER_CELLS",
 ]
 
 ZERO_NORM_EPS = 1e-12
@@ -86,6 +88,10 @@ SMOOTH_SIGMA = 4.0
 # working maps then take 32 MB each, and larger extents are refused before
 # any array is made
 MAX_MAP_CELLS = 1 << 22
+# most parameters, and most cells in one working array, that a decoder may
+# have on its pyramid (DecoderConfig.footprint); the paper's widths at 64 x 64
+# need 14.8M and 12.8M
+MAX_DECODER_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,31 @@ class DecoderConfig:
                 f"pyramid channels {pyramid_channels}; need {derived}"
             )
         return derived
+
+    def footprint(
+        self, pyramid_channels: tuple[int, int, int], top_resolution: tuple[int, int]
+    ) -> tuple[int, int]:
+        """Parameter count and cells of the largest working array of the
+        decoder on such a pyramid, from shapes alone.  Per stage of C
+        channels over L cells, the arrays weighed are the tap columns of the
+        3x3 and local depthwise convolutions, C L 9E and C L k^2 cells, and
+        the bank scan's arrays, each within K E C x max(ceil(L/T), T+1) x
+        (T+1+N) cells for K directions and T = SCAN_CHUNK."""
+        c1, c2, c3 = pyramid_channels
+        k, e, n, t = len(self.directions), self.expansion, self.state_size, SCAN_CHUNK
+        k5, k7 = self.local_kernels
+        # the sizes init_conv_block, init_hss_params and init_block_params draw
+        params = sum(o * i + 3 * o for i, o in ((c1 + c2 + c3, c3), (c3, c2), (c2, c1)))
+        cells = 0
+        stages = zip(self.stage_depths, self.hss_per_stage,
+                     self.resolved_channels(pyramid_channels), (4, 4, 2, 1))
+        for depth, m, ch, down in stages:
+            hss = 3 * ch + e * ch * (3 * ch + 14 + k * (3 * n + 1))
+            params += depth * (m * hss + 7 * ch * ch + ch * (15 + k5 * k5 + k7 * k7))
+            length = (top_resolution[0] // down) * (top_resolution[1] // down)
+            bank = k * e * ch * max(-(-length // t), t + 1) * (t + 1 + n)
+            cells = max(cells, bank, ch * length * max(9 * e, k5 * k5, k7 * k7))
+        return params, cells
 
 
 @dataclass(frozen=True)

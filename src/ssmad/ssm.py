@@ -12,11 +12,12 @@ whenever |z| < 1e-4 (this also covers a = 0 exactly).
 The resulting linear recurrence
     h_t = a_bar * h_{t-1} + b_bar * x_t,   y_t = <c, h_t>
 is evaluated two ways: ``scan_recurrent`` runs it step by step for one
-system and is the oracle, and ``ssm_bank_scan``, the decoder's scan, runs
-a bank of C independent single-channel systems in the chunked form of
-Mamba-2's state-space dual (Dao & Gu 2024): a lower-triangular Toeplitz
-matmul inside each chunk of SCAN_CHUNK steps, plus a prefix scan over a
-fixed balanced tree that carries the state across chunk boundaries.
+system and is the oracle, returning its float64 sums unrounded, and
+``ssm_bank_scan``, the decoder's scan, runs a bank of C independent
+single-channel systems in the chunked form of Mamba-2's state-space
+dual (Dao & Gu 2024): a lower-triangular Toeplitz matmul inside each
+chunk of SCAN_CHUNK steps, plus a prefix scan over a fixed balanced
+tree that carries the state across chunk boundaries.
 Every chunk shares one step a_bar^T, so the carry runs over the real
 chunks only, with no padding to a power of two: a tree level that joins
 runs of 2^k chunks multiplies by a_bar^(T 2^k), made by squaring.
@@ -39,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor import Tensor
 
 __all__ = [
     "SsmDiscrete",
@@ -108,23 +107,19 @@ def zoh(a: np.ndarray, delta, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # scans
 
 
-def _as_sequence(x) -> np.ndarray:
-    arr = x.array if isinstance(x, Tensor) else np.asarray(x)
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
+def scan_recurrent(d: SsmDiscrete, x) -> np.ndarray:
+    """Sequential evaluation of the discrete recurrence: y (L,) in float64,
+    unrounded, so that a check against it measures the kernel under test
+    rather than a rounding of the oracle."""
+    seq = np.ascontiguousarray(x, dtype=np.float64)
+    if seq.ndim != 1 or seq.size < 1:
         raise ValueError("expected a non-empty 1-D sequence")
-    return arr
-
-
-def scan_recurrent(d: SsmDiscrete, x) -> Tensor:
-    """Sequential evaluation of the discrete recurrence."""
-    seq = _as_sequence(x)
     h = np.zeros(d.state_size, dtype=np.float64)
     y = np.empty(seq.size, dtype=np.float64)
     for t in range(seq.size):
         h = d.a_bar * h + d.b_bar * seq[t]
         y[t] = d.c @ h
-    return Tensor(y.astype(np.float32))
+    return y
 
 
 def _carry_scan(step: np.ndarray, states: np.ndarray) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ssmad.pipeline import (
+    MAX_DECODER_CELLS,
     MAX_MAP_CELLS,
     AnomalyScoreMap,
     DecoderConfig,
@@ -110,6 +111,31 @@ def test_config_rejects_bad_depths():
 def test_config_rejects_empty_banks(field):
     with pytest.raises(ValueError, match=field):
         _micro_cfg(**{field: 0})
+
+
+@pytest.mark.parametrize(
+    "cfg, channels, top",
+    [
+        (DecoderConfig(), (4, 8, 16), (16, 16)),
+        (DecoderConfig(stage_depths=(1, 2, 1, 1), hss_per_stage=(2, 1, 1, 3), state_size=3,
+                       expansion=3, local_kernels=(3, 9),
+                       directions=(ScanDirection.FORWARD, ScanDirection.REVERSE)),
+         (2, 6, 5), (8, 8)),
+    ],
+    ids=["default", "uneven"],
+)
+def test_footprint_counts_every_parameter(cfg, channels, top):
+    sizes = []
+    _map_tensors(init_decoder_params(cfg, channels), lambda _, arr: sizes.append(arr.size) or arr)
+    assert cfg.footprint(channels, top)[0] == sum(sizes)
+
+
+def test_footprint_admits_the_paper_widths():
+    # a 64/128/256-channel pyramid at 64 x 64: the top stage's 7 x 7 tap
+    # columns are the largest array
+    params, cells = DecoderConfig().footprint((64, 128, 256), (64, 64))
+    assert (params, cells) == (14_791_104, 64 * 49 * 64 * 64)
+    assert max(params, cells) <= MAX_DECODER_CELLS
 
 
 # ----------------------------------------------------------------- fusion
