@@ -25,12 +25,6 @@ import numpy as np
 from ssmad.scans import ScanDirection, ScanMethod, UnsupportedGeometry, make_schedule
 
 
-def rank_matrix(order, side):
-    ranks = np.empty(side * side, dtype=np.int64)
-    ranks[order] = np.arange(side * side)
-    return ranks.reshape(side, side)
-
-
 def step_stats(order, side):
     rr, cc = order // side, order % side
     step = np.abs(np.diff(rr)) + np.abs(np.diff(cc))
@@ -72,7 +66,7 @@ def main():
             continue
         if not args.no_matrix:
             print(f"== {method.value} / {direction.value}")
-            for row in rank_matrix(sched.order, side):
+            for row in sched.inverse.reshape(side, side):
                 print("  " + " ".join(f"{v:>{width}d}" for v in row))
             print()
         mean_step, max_step = step_stats(sched.order, side)

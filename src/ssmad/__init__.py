@@ -15,11 +15,8 @@ from .scans import (
     ScanMethod,
     ScanSchedule,
     base_schedule,
-    gather_sequence,
     hilbert_matrix,
-    invert,
     make_schedule,
-    scatter_sequence,
 )
 from .ssm import SsmDiscrete, scan_recurrent
 from .blocks import (

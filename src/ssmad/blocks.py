@@ -128,10 +128,6 @@ class ConvBParams:
     def out_channels(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def kernel(self) -> int:
-        return self.weight.shape[2]
-
 
 @dataclass(frozen=True)
 class SsmBankParams:
@@ -175,10 +171,6 @@ class SsmBankParams:
     @property
     def channels(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def state_size(self) -> int:
-        return self.a.shape[2]
 
 
 @dataclass(frozen=True)
@@ -253,10 +245,6 @@ class LocalBranchParams:
             raise ValueError("depthwise bias must have shape (C,)")
         object.__setattr__(self, "dw_weight", w)
         object.__setattr__(self, "dw_bias", b)
-
-    @property
-    def kernel(self) -> int:
-        return self.dw_weight.shape[1]
 
 
 @dataclass(frozen=True)

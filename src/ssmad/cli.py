@@ -34,10 +34,8 @@ from .pipeline import (
     MAX_MAP_CELLS,
     DecoderConfig,
     FeaturePyramid,
-    anomaly_map,
     init_decoder_params,
     load_decoder_params,
-    mse_loss,
     pipeline_forward,
     save_decoder_params,
 )
@@ -90,6 +88,8 @@ def _read_json(path: str, what: str):
         raise CliError(f"cannot read {what} {path}") from None
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise CliError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -267,7 +267,6 @@ def _member(kind, value):
 _CONFIG_FIELDS = {
     "stage_depths": _ints,
     "hss_per_stage": _ints,
-    "stage_channels": lambda v: None if v is None else _ints(v),
     "scan_method": lambda v: _member(ScanMethod, v),
     "directions": lambda v: tuple(_member(ScanDirection, d) for d in _json_list(v)),
     "state_size": _json_number,
@@ -277,7 +276,7 @@ _CONFIG_FIELDS = {
 }
 
 
-def _config_from_json(path: str | None) -> DecoderConfig:
+def _load_config(path: str | None) -> DecoderConfig:
     if path is None:
         return DecoderConfig()
     raw = _read_json(path, "config file")
@@ -301,7 +300,7 @@ def cmd_forward(args) -> int:
                 f"MAX_MAP_CELLS = {MAX_MAP_CELLS} cells"
             )
     pyramid = _load_pyramid(args.pyramid)
-    cfg = _config_from_json(args.config)
+    cfg = _load_config(args.config)
     channels = pyramid.channels
     try:
         n_params, cells = cfg.footprint(channels, pyramid.top_resolution)
@@ -324,11 +323,7 @@ def cmd_forward(args) -> int:
         save_decoder_params(args.save_params, params)
     size = args.map_size
     try:
-        if args.identity_decoder:  # debug mode: the input is its own reconstruction
-            loss = mse_loss(pyramid, pyramid)
-            amap = anomaly_map(pyramid, pyramid, size, size)
-        else:
-            loss, amap = pipeline_forward(pyramid, cfg, params, out_h=size, out_w=size)
+        loss, amap = pipeline_forward(pyramid, cfg, params, out_h=size, out_w=size)
     except UnsupportedGeometry as exc:
         raise CliError(str(exc)) from None
     write_tensor_file(args.out_map, Tensor(amap.scores))
@@ -336,7 +331,6 @@ def cmd_forward(args) -> int:
         "loss": loss,
         "image_score": amap.image_score,
         "map_shape": [amap.height, amap.width],
-        "identity_decoder": bool(args.identity_decoder),
     }
     _write_text(args.out_json, json.dumps(record, indent=2, sort_keys=True))
     return EXIT_OK
@@ -488,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-map", required=True)
     p.add_argument("--out-json", default=None)
     p.add_argument("--map-size", type=int, default=None)
-    p.add_argument("--identity-decoder", action="store_true")
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("eval", help="compute the seven-metric report")

@@ -226,7 +226,7 @@ class MetricsReport:
         return mad(self.values())
 
     def to_json(self) -> str:
-        """Six-decimal serialisation; from_json round-trips it exactly."""
+        """Six-decimal serialisation: every value rounded to 6 places."""
         payload = {
             "image": {
                 "auroc": round(self.image_auroc, 6),
@@ -242,19 +242,6 @@ class MetricsReport:
             "mad": round(self.mad(), 6),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        d = json.loads(text)
-        return cls(
-            image_auroc=d["image"]["auroc"],
-            image_ap=d["image"]["ap"],
-            image_f1_max=d["image"]["f1_max"],
-            pixel_auroc=d["pixel"]["auroc"],
-            pixel_ap=d["pixel"]["ap"],
-            pixel_f1_max=d["pixel"]["f1_max"],
-            pixel_aupro=d["pixel"]["aupro"],
-        )
 
     def csv_cells(self) -> tuple[str, str, str]:
         """(image, pixel, mad) cells, values x100 at one decimal."""

@@ -128,11 +128,10 @@ class FeaturePyramid:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Decoder layout; stage channels derive from the pyramid when None."""
+    """Decoder layout; stage channels derive from the pyramid."""
 
     stage_depths: tuple[int, ...] = (3, 4, 6, 3)
     hss_per_stage: tuple[int, ...] = (3, 2, 3, 3)
-    stage_channels: tuple[int, ...] | None = None
     scan_method: ScanMethod = ScanMethod.HILBERT
     directions: tuple[ScanDirection, ...] = tuple(ScanDirection)
     state_size: int = 4
@@ -145,8 +144,6 @@ class DecoderConfig:
             raise ValueError("stage_depths must be four positive counts")
         if len(self.hss_per_stage) != 4 or any(m < 1 for m in self.hss_per_stage):
             raise ValueError("hss_per_stage must be four positive counts")
-        if self.stage_channels is not None and len(self.stage_channels) != 4:
-            raise ValueError("stage_channels must list four counts when given")
         if self.state_size < 1 or self.expansion < 1:
             raise ValueError("state_size and expansion must be >= 1")
         kernels = self.local_kernels
@@ -156,13 +153,7 @@ class DecoderConfig:
 
     def resolved_channels(self, pyramid_channels: tuple[int, int, int]) -> tuple[int, ...]:
         c1, c2, c3 = pyramid_channels
-        derived = (c3, c3, c2, c1)
-        if self.stage_channels is not None and tuple(self.stage_channels) != derived:
-            raise ValueError(
-                f"stage_channels {self.stage_channels} incompatible with "
-                f"pyramid channels {pyramid_channels}; need {derived}"
-            )
-        return derived
+        return c3, c3, c2, c1
 
     def footprint(
         self, pyramid_channels: tuple[int, int, int], top_resolution: tuple[int, int]
@@ -549,7 +540,10 @@ def load_decoder_params(
     malformed manifest, a missing, extra, unreadable, misshapen or non-finite
     tensor, or an unstable bank raises ValueError naming it."""
     with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except RecursionError:
+            raise ValueError("parameter manifest is nested too deeply") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "mbt-dir/1":
         raise ValueError("unrecognised parameter manifest")
     entries = manifest.get("tensors")

@@ -1,9 +1,10 @@
 """Grid-visit schedules: five scan curves crossed with eight directions.
 
-A schedule is a permutation of the row-major cell indices of an h x w grid.
-``gather_sequence`` reorders the spatial positions of a feature map into a
-1-D sequence along the curve, ``scatter_sequence`` puts per-step outputs back
-on the grid, and ``invert`` swaps the two views of the permutation.
+A schedule is a permutation of the row-major cell indices of an h x w grid,
+held in two views: ``order`` lists the cells in visit order and ``inverse``
+gives each cell its step.  The decoder gathers a flattened feature map into a
+sequence with ``np.take`` over ``order`` and scatters the per-step outputs
+back onto the grid with ``np.take`` over ``inverse``.
 
 Curve conventions (fixed so every schedule is reproducible):
 
@@ -42,8 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
     "ScanMethod",
     "ScanDirection",
@@ -53,9 +52,6 @@ __all__ = [
     "hilbert_matrix",
     "base_schedule",
     "make_schedule",
-    "invert",
-    "gather_sequence",
-    "scatter_sequence",
 ]
 
 # largest h * w a schedule may cover (a 2048 x 2048 grid); its order and
@@ -136,10 +132,6 @@ class ScanSchedule:
         inverse[order] = np.arange(n, dtype=np.int64)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "inverse", inverse)
-
-    @property
-    def length(self) -> int:
-        return self.height * self.width
 
 
 def hilbert_matrix(n: int) -> np.ndarray:
@@ -226,7 +218,8 @@ def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
                 f"hilbert requires square power-of-two extents >= 2, got {h}x{w}"
             )
         ranks = hilbert_matrix(h.bit_length() - 1)
-        # the ranks are a permutation of 1..h*w, so one scatter inverts them
+        # the ranks are a permutation of 1..h*w, so one scatter turns them
+        # into the visit order
         order = np.empty(h * w, dtype=np.int64)
         order[ranks.reshape(-1) - 1] = np.arange(h * w, dtype=np.int64)
 
@@ -279,32 +272,3 @@ def make_schedule(
     visits as cells of the caller's grid.
     """
     return _cached_schedule(method, direction, h, w)
-
-
-def invert(s: ScanSchedule) -> ScanSchedule:
-    """Swap the order/inverse views; an involution."""
-    return ScanSchedule(height=s.height, width=s.width, order=s.inverse.copy())
-
-
-def gather_sequence(t: Tensor, s: ScanSchedule) -> Tensor:
-    """(C, H, W) feature map -> (C, L) sequence along the schedule."""
-    if t.ndim != 3:
-        raise ValueError(f"gather expects a (C, H, W) tensor, got {t.shape}")
-    ch, hh, ww = t.shape
-    if (hh, ww) != (s.height, s.width):
-        raise ValueError(
-            f"schedule is {s.height}x{s.width} but the map is {hh}x{ww}"
-        )
-    flat = t.array.reshape(ch, hh * ww)
-    return Tensor(flat[:, s.order])
-
-def scatter_sequence(q: Tensor, s: ScanSchedule) -> Tensor:
-    """(C, L) sequence -> (C, H, W) map; exact inverse of gather_sequence."""
-    if q.ndim != 2:
-        raise ValueError(f"scatter expects a (C, L) tensor, got {q.shape}")
-    ch, length = q.shape
-    if length != s.length:
-        raise ValueError(f"sequence length {length} != schedule length {s.length}")
-    flat = np.empty((ch, length), dtype=np.float32)
-    flat[:, s.order] = q.array
-    return Tensor(flat.reshape(ch, s.height, s.width))

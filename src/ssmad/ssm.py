@@ -45,6 +45,7 @@ __all__ = [
     "SsmDiscrete",
     "SERIES_THRESHOLD",
     "SCAN_CHUNK",
+    "zoh",
     "scan_recurrent",
     "ssm_bank_scan",
 ]

@@ -45,6 +45,7 @@ __all__ = [
     "read_mask_pgm",
     "read_mask_pgm_file",
     "write_mask_pgm",
+    "write_mask_pgm_file",
     "bilinear_resize",
 ]
 
@@ -89,8 +90,7 @@ class PgmError(ValueError):
 class Tensor:
     """Row-major float32 array with 1 to 4 axes, every extent >= 1.
 
-    The wrapped ndarray is C-contiguous float32; ``data`` is a flat
-    row-major view of it.
+    The wrapped ndarray, ``array``, is C-contiguous float32.
     """
 
     __slots__ = ("array",)
@@ -114,14 +114,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.array.size
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major float32 view."""
-        return self.array.reshape(-1)
-
-    def reshape(self, shape) -> "Tensor":
-        return Tensor(self.array.reshape(shape))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"

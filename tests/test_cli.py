@@ -255,12 +255,12 @@ def test_forward_writes_map_and_record(fixture_dirs, micro_config, tmp_path):
     assert r.returncode == 0, r.stderr
     amap = read_tensor_file(out_map)
     assert amap.shape == (16, 16)
-    assert np.all(np.isfinite(amap.data))
+    assert np.all(np.isfinite(amap.array))
     record = json.loads(out_json.read_text())
     assert record["map_shape"] == [16, 16]
     assert record["loss"] > 0.0
     assert np.isfinite(record["image_score"])
-    assert record["identity_decoder"] is False
+    assert set(record) == {"image_score", "loss", "map_shape"}
 
 
 def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
@@ -295,10 +295,9 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
         ({"stage_depths": "1111", "hss_per_stage": [1, 1, 1, 1]},
          "bad config: expected a list, got '1111'"),
         ({"directions": "forward"}, "bad config: expected a list, got 'forward'"),
-        ({"stage_channels": [1, 2, 3, 4]}, "bad config: stage_channels (1, 2, 3, 4)"),
+        ({"stage_channels": [32, 32, 16, 8]}, "unknown config keys ['stage_channels']"),
         ({"stage_depths": [1.9, 1, 1, 1]}, "bad config: expected a JSON integer, got 1.9"),
         ({"hss_per_stage": [1, 1, 1, True]}, "bad config: expected a JSON integer, got True"),
-        ({"stage_channels": [8, 8, 8.0, 8]}, "bad config: expected a JSON integer, got 8.0"),
         ({"local_kernels": [3.0]}, "bad config: expected a JSON integer, got 3.0"),
         ({"state_size": 2.7}, "bad config: expected a JSON integer, got 2.7"),
         ({"expansion": True}, "bad config: expected a JSON integer, got True"),
@@ -307,7 +306,7 @@ def test_forward_is_deterministic(fixture_dirs, micro_config, tmp_path):
     ids=["array", "unknown-key", "state-size-0", "even-kernels", "one-kernel",
          "repeated-direction", "three-directions", "string-for-list",
          "string-for-directions", "stage-channels", "float-depth", "bool-hss-count",
-         "float-channels", "float-kernel", "float-state-size", "bool-expansion",
+         "float-kernel", "float-state-size", "bool-expansion",
          "string-seed"],
 )
 def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
@@ -327,26 +326,6 @@ def test_forward_rejects_bad_config(fixture_dirs, tmp_path, config, named):
     assert "Traceback" not in r.stderr
     assert named in r.stderr
     assert not (tmp_path / "m.mbt").exists()
-
-
-def test_forward_identity_decoder_zero_loss(fixture_dirs, tmp_path):
-    out_json = tmp_path / "rec.json"
-    r = _run(
-        [
-            "forward",
-            *_pyramid_args(fixture_dirs / "n0"),
-            "--identity-decoder",
-            "--out-map",
-            str(tmp_path / "m.mbt"),
-            "--out-json",
-            str(out_json),
-        ]
-    )
-    assert r.returncode == 0, r.stderr
-    record = json.loads(out_json.read_text())
-    assert record["loss"] == 0.0
-    assert record["image_score"] <= 1e-12
-    assert record["identity_decoder"] is True
 
 
 def test_forward_save_then_load_params(fixture_dirs, micro_config, tmp_path):
@@ -792,6 +771,30 @@ def test_eval_rejects_bad_sample(fixture_dirs, edits, row, named):
     assert named in r.stderr
 
 
+@pytest.mark.parametrize("site", ["eval-manifest", "forward-config", "forward-params"])
+def test_deeply_nested_json_exits_two(fixture_dirs, micro_config, tmp_path, site):
+    # 2000 open brackets: json.load recurses past the interpreter's limit
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 2000)
+    if site == "eval-manifest":
+        args = ["eval", "--manifest", str(nested)]
+    else:
+        args = ["forward", *_pyramid_args(fixture_dirs / "a0"),
+                "--out-map", str(tmp_path / "m.mbt")]
+        if site == "forward-config":
+            args += ["--config", str(nested)]
+        else:
+            params_dir = tmp_path / "params"
+            params_dir.mkdir()
+            shutil.copy(nested, params_dir / "manifest.json")
+            args += ["--config", str(micro_config), "--params", str(params_dir)]
+    r = _run(args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert "nested too deeply" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # retired options and subcommands
 
@@ -800,6 +803,21 @@ def test_bench_subcommand_is_gone():
     r = _run(["bench"])
     assert r.returncode == 2
     assert "bench" in r.stderr
+
+
+def test_forward_rejects_identity_decoder_flag(fixture_dirs, tmp_path):
+    r = _run(
+        [
+            "forward",
+            *_pyramid_args(fixture_dirs / "n0"),
+            "--identity-decoder",
+            "--out-map",
+            str(tmp_path / "m.mbt"),
+        ]
+    )
+    assert r.returncode == 2
+    assert "unrecognized arguments: --identity-decoder" in r.stderr
+    assert not (tmp_path / "m.mbt").exists()
 
 
 def test_readme_documents_exactly_the_subcommands():
@@ -1008,7 +1026,7 @@ def test_synth_oracle_map_saturates_aupro(tmp_path):
     assert r.returncode == 0, r.stderr
     oracle = read_tensor_file(out / "oracle_map.mbt")
     mask = read_mask_pgm_file(out / "mask.pgm")
-    pixels = LabeledScores(oracle.data.astype(np.float64), mask.bits.reshape(-1))
+    pixels = LabeledScores(oracle.array.reshape(-1).astype(np.float64), mask.bits.reshape(-1))
     assert aupro(pixels, [mask]) == 1.0
 
 

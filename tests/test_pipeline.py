@@ -370,11 +370,12 @@ def test_pipeline_forward_worker_independent():
 
 
 def test_identical_pyramids_give_zero_loss_and_map():
-    # what `ssmad forward --identity-decoder` computes
+    # a perfect reconstruction scores zero everywhere
     p = _pyramid(seed=24)
     loss, amap = mse_loss(p, p), anomaly_map(p, p)
     assert loss == 0.0
     np.testing.assert_allclose(amap.scores, 0.0, atol=1e-6)
+    assert amap.image_score <= 1e-12
 
 
 @pytest.mark.parametrize("extent", [0, -3])

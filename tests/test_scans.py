@@ -22,13 +22,9 @@ from ssmad.scans import (
     UnsupportedGeometry,
     _cached_schedule,
     base_schedule,
-    gather_sequence,
     hilbert_matrix,
-    invert,
     make_schedule,
-    scatter_sequence,
 )
-from ssmad.tensor import Tensor
 
 METHODS = list(ScanMethod)
 DIRECTIONS = list(ScanDirection)
@@ -183,7 +179,7 @@ def test_schedule_refuses_too_many_cells_before_allocating(method, h, w):
     [(ScanMethod.SWEEP, 1, MAX_GRID_CELLS), (ScanMethod.HILBERT, 512, 512)],
 )
 def test_schedule_takes_the_largest_allowed_grid(method, h, w):
-    assert base_schedule(method, h, w).length == h * w
+    assert base_schedule(method, h, w).order.size == h * w
 
 
 @pytest.mark.parametrize("direction", list(ScanDirection))
@@ -200,7 +196,7 @@ def test_largest_hilbert_schedule_memory(direction):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.length == side * side
+    assert s.order.size == side * side
     assert peak <= 5 * 8 * side * side
 
 
@@ -312,56 +308,40 @@ def test_non_square_geometry_where_permitted():
     assert sorted(s.order) == list(range(16))
 
 
-# ------------------------------------------------------------------ invert
+# ----------------------------------------------------------------- inverse
 
 
-def test_invert_identity():
+def test_sweep_inverse_equals_order():
     s = base_schedule(ScanMethod.SWEEP, 2, 2)
-    np.testing.assert_array_equal(invert(s).order, s.order)
+    np.testing.assert_array_equal(s.inverse, s.order)
 
 
-def test_invert_known_self_inverses():
+def test_inverse_known_self_inverses():
     s = base_schedule(ScanMethod.HILBERT, 2, 2)
-    assert list(invert(s).order) == [0, 1, 3, 2]
+    assert list(s.inverse) == [0, 1, 3, 2]
     r = make_schedule(ScanMethod.SWEEP, ScanDirection.REVERSE, 2, 2)
-    assert list(invert(r).order) == [3, 2, 1, 0]
+    assert list(r.inverse) == [3, 2, 1, 0]
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("direction", DIRECTIONS)
-def test_invert_is_involution(method, direction):
+def test_inverse_composes_to_identity(method, direction):
     s = make_schedule(method, direction, 4, 4)
-    np.testing.assert_array_equal(invert(invert(s)).order, s.order)
+    steps = np.arange(16)
+    np.testing.assert_array_equal(s.order[s.inverse], steps)
+    np.testing.assert_array_equal(s.inverse[s.order], steps)
 
 
 # --------------------------------------------------------- gather/scatter
-
-
-def test_gather_identity_schedule_flattens():
-    t = Tensor(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
-    s = base_schedule(ScanMethod.SWEEP, 2, 2)
-    seq = gather_sequence(t, s)
-    np.testing.assert_array_equal(seq.array, t.array.reshape(2, 4))
+# the decoder gathers a (C, H * W) map with np.take over order and scatters
+# the sequence back with np.take over inverse
 
 
 def test_gather_reverse_on_vector():
-    t = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]], dtype=np.float32))
+    x = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
     s = make_schedule(ScanMethod.SWEEP, ScanDirection.REVERSE, 1, 4)
-    seq = gather_sequence(t, s)
-    np.testing.assert_array_equal(seq.array, [[4.0, 3.0, 2.0, 1.0]])
-
-
-def test_scatter_of_zeros_is_zeros():
-    s = make_schedule(ScanMethod.SCAN, ScanDirection.FORWARD, 2, 3)
-    out = scatter_sequence(Tensor(np.zeros((3, 6), dtype=np.float32)), s)
-    assert not out.array.any()
-
-
-def test_gather_shape_mismatch():
-    t = Tensor(np.zeros((1, 2, 2), dtype=np.float32))
-    s = base_schedule(ScanMethod.SWEEP, 2, 3)
-    with pytest.raises(ValueError):
-        gather_sequence(t, s)
+    seq = np.take(x, s.order, axis=1)
+    np.testing.assert_array_equal(seq, [[4.0, 3.0, 2.0, 1.0]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,9 +360,9 @@ def test_gather_scatter_roundtrip_bitwise(method, direction, h, w, channels, see
         return
     s = make_schedule(method, direction, h, w)
     rng = np.random.default_rng(seed)
-    t = Tensor(rng.standard_normal((channels, h, w)).astype(np.float32))
-    back = scatter_sequence(gather_sequence(t, s), s)
-    assert back.array.tobytes() == t.array.tobytes()
+    x = rng.standard_normal((channels, h * w)).astype(np.float32)
+    back = np.take(np.take(x, s.order, axis=1), s.inverse, axis=1)
+    assert back.tobytes() == x.tobytes()
 
 
 def test_exhaustive_bijection_small_grids():

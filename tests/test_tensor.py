@@ -51,13 +51,6 @@ def test_tensor_casts_to_float32():
     assert t.size == 6
 
 
-def test_reshape_preserves_payload():
-    t = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
-    u = t.reshape((2, 2, 3))
-    assert u.shape == (2, 2, 3)
-    np.testing.assert_array_equal(u.data, t.data)
-
-
 # ------------------------------------------------------------- file format
 
 
