@@ -4,9 +4,9 @@ One test per headline guarantee:
 
   * the Hilbert rank matrix has its base case and is a valid curve
     through order six;
-  * every method x direction schedule is a permutation whose inverse and
-    the decoder's gather/scatter round trip (``np.take`` over order, then
-    over inverse) are exact;
+  * every method x direction schedule is a permutation, its inverse
+    undoes it, and ``np.take`` over order, then over inverse, gives back
+    the input bit for bit;
   * the sequential scan equals the recurrence unrolled into a convolution;
   * the chunked bank scan, the decoder's scan, matches the sequential scan;
   * the HSS and LSS residual identities hold bit-exactly;

@@ -6,7 +6,6 @@ a shell user would hit them.  Fault injection and the Hypothesis fuzz tests
 call cli.main() in-process instead.
 """
 
-import argparse
 import json
 import math
 import os
@@ -773,9 +772,12 @@ def test_eval_rejects_bad_sample(fixture_dirs, edits, row, named):
 
 @pytest.mark.parametrize("site", ["eval-manifest", "forward-config", "forward-params"])
 def test_deeply_nested_json_exits_two(fixture_dirs, micro_config, tmp_path, site):
-    # 2000 open brackets: json.load recurses past the interpreter's limit
+    # 100,000 open brackets (100 KB): json.load recurses past the recursion
+    # limit on every supported Python (the interpreter's 1000 before 3.12,
+    # the separate C limit of several thousand from 3.12 on), so the
+    # RecursionError comes before the missing closing brackets are seen
     nested = tmp_path / "nested.json"
-    nested.write_text("[" * 2000)
+    nested.write_text("[" * 100_000)
     if site == "eval-manifest":
         args = ["eval", "--manifest", str(nested)]
     else:
@@ -818,16 +820,6 @@ def test_forward_rejects_identity_decoder_flag(fixture_dirs, tmp_path):
     assert r.returncode == 2
     assert "unrecognized arguments: --identity-decoder" in r.stderr
     assert not (tmp_path / "m.mbt").exists()
-
-
-def test_readme_documents_exactly_the_subcommands():
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    headings = [line[4:] for line in section.splitlines() if line.startswith("### ")]
-    subparsers = next(
-        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    assert headings == list(subparsers.choices)
 
 
 def test_ssm_check_has_no_grad_instances_option():

@@ -3,10 +3,12 @@
 ``__all__`` must name exactly the public functions and classes a module
 defines (constants may be listed besides), so a new name cannot go
 unexported and a deleted one cannot linger.  The README's library example
-runs as written, and its config example names exactly the keys ``ssmad
-forward --config`` accepts.
+runs as written, its config example names exactly the keys ``ssmad
+forward --config`` accepts, and its command-line section documents exactly
+the subcommands the parser has.
 """
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -41,8 +43,11 @@ def test_all_names_the_public_functions_and_classes(module):
 
 def _readme_section(heading: str) -> str:
     text = (ROOT / "README.md").read_text()
-    # the section runs to the next heading; a "# " comment in a code block is none
-    return re.split(r"\n#{2,3} ", text.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+    level = len(heading.split(" ", 1)[0])
+    # the section runs to the next heading of its level or above; a "# "
+    # comment in a code block is none
+    body = text.split(f"\n{heading}\n", 1)[1]
+    return re.split(rf"\n#{{2,{level}}} ", body, maxsplit=1)[0]
 
 
 def _code_block(section: str, lang: str) -> str:
@@ -60,3 +65,12 @@ def test_readme_config_example_names_every_config_key():
     example = json.loads(_code_block(_readme_section("### forward"), "json"))
     fields = [f.name for f in dataclasses.fields(pipeline.DecoderConfig)]
     assert list(example) == list(cli._CONFIG_FIELDS) == fields
+
+
+def test_readme_documents_exactly_the_subcommands():
+    section = _readme_section("## Command line")
+    headings = [line[4:] for line in section.splitlines() if line.startswith("### ")]
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert headings == list(subparsers.choices)

@@ -333,8 +333,9 @@ def test_inverse_composes_to_identity(method, direction):
 
 
 # --------------------------------------------------------- gather/scatter
-# the decoder gathers a (C, H * W) map with np.take over order and scatters
-# the sequence back with np.take over inverse
+# these check the schedule's permutation pair under a plain np.take over
+# order, then over inverse; the decoder's own gather and scatter in
+# blocks.hss_forward are held by the hss tests in test_blocks.py
 
 
 def test_gather_reverse_on_vector():
