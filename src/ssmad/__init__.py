@@ -18,7 +18,7 @@ from .scans import (
     hilbert_matrix,
     make_schedule,
 )
-from .ssm import SsmDiscrete, scan_recurrent
+from .ssm import scan_recurrent
 from .blocks import (
     ConvBParams,
     HssParams,

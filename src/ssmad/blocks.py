@@ -41,11 +41,11 @@ fused by a plain 1x1 convolution over the concatenation (3C -> C) plus a
 residual connection.
 
 Every convolution is a plain matmul.  A 1x1 layer (``pointwise_conv``, and
-``conv2d`` with k = 1) is one (out, in) @ (in, H*W) product.  For k > 1 the
-zero-padded taps are first copied, in one copy from a strided view of the
-padded map, into contiguous (C, k*k, H*W) columns;
-``dwconv2d`` multiplies each channel's k*k weights by its own columns and
-``conv2d`` multiplies (out, in*k*k) weights by all of them at once.
+every ConvB, whose weights are (out, in, 1, 1)) is one (out, in) @ (in, H*W)
+product.  The depthwise k x k layer (``dwconv2d``) first copies the
+zero-padded taps, in one copy from a strided view of the padded map, into
+contiguous (C, k*k, H*W) columns and multiplies each channel's k*k weights
+by its own columns.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
     "silu",
     "layer_norm",
     "instance_norm",
-    "conv2d",
     "dwconv2d",
     "pointwise_conv",
     "conv_block",
@@ -101,7 +100,7 @@ def _check_directions(directions) -> None:
 
 @dataclass(frozen=True)
 class ConvBParams:
-    """Conv2D weights (out, in, k, k) + bias, and instance-norm scale/shift."""
+    """1x1 conv weights (out, in, 1, 1) + bias, and instance-norm scale/shift."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -110,8 +109,8 @@ class ConvBParams:
 
     def __post_init__(self) -> None:
         w = np.ascontiguousarray(self.weight, dtype=np.float32)
-        if w.ndim != 4 or w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0:
-            raise ValueError("conv weight must be (out, in, k, k) with odd k")
+        if w.ndim != 4 or w.shape[2:] != (1, 1):
+            raise ValueError("conv weight must be (out, in, 1, 1)")
         object.__setattr__(self, "weight", w)
         out = w.shape[0]
         for name in ("bias", "norm_scale", "norm_shift"):
@@ -342,11 +341,11 @@ def _columns(x: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _check_kernel(x: np.ndarray, weight: np.ndarray, ndim: int, channel_axis: int) -> int:
-    """Return k for a weight of ``ndim`` axes ending in an odd square k x k
-    whose ``channel_axis`` matches the channels of the (C, H, W) input."""
-    if (x.ndim != 3 or weight.ndim != ndim or weight.shape[-1] != weight.shape[-2]
-            or weight.shape[-1] % 2 == 0 or weight.shape[channel_axis] != x.shape[0]):
+def _check_kernel(x: np.ndarray, weight: np.ndarray) -> int:
+    """Return k for a depthwise weight (C, k, k), k odd, whose C matches the
+    channels of the (C, H, W) input."""
+    if (x.ndim != 3 or weight.ndim != 3 or weight.shape[1] != weight.shape[2]
+            or weight.shape[1] % 2 == 0 or weight.shape[0] != x.shape[0]):
         raise ValueError(
             f"kernel {weight.shape} must be odd and square with {x.shape[0]} "
             f"input channels to convolve input {x.shape}"
@@ -354,23 +353,10 @@ def _check_kernel(x: np.ndarray, weight: np.ndarray, ndim: int, channel_axis: in
     return weight.shape[-1]
 
 
-def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padding stride-1 convolution, weight (out, in, k, k); k = 1 is
-    ``pointwise_conv``, larger k one matmul over the tap columns."""
-    k = _check_kernel(x, weight, 4, 1)
-    out_ch, in_ch = weight.shape[:2]
-    if k == 1:
-        return pointwise_conv(x, weight.reshape(out_ch, in_ch), bias)
-    _, h, w = x.shape
-    cols = _columns(x, k).reshape(in_ch * k * k, h * w)
-    out = weight.reshape(out_ch, in_ch * k * k) @ cols + bias[:, None]
-    return out.reshape(out_ch, h, w).astype(np.float32, copy=False)
-
-
 def dwconv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Depthwise same-padding convolution, weight (C, k, k): per channel, the
     k*k weights times that channel's tap columns."""
-    k = _check_kernel(x, weight, 3, 0)
+    k = _check_kernel(x, weight)
     c, h, w = x.shape
     out = weight.reshape(c, 1, k * k) @ _columns(x, k) + bias[:, None, None]
     return out.reshape(c, h, w).astype(np.float32, copy=False)
@@ -386,8 +372,9 @@ def pointwise_conv(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def conv_block(x: np.ndarray, p: ConvBParams) -> np.ndarray:
-    """SiLU(InstanceNorm(Conv2D(x)))."""
-    return silu(instance_norm(conv2d(x, p.weight, p.bias), p.norm_scale, p.norm_shift))
+    """SiLU(InstanceNorm(Conv1x1(x)))."""
+    conv = pointwise_conv(x, p.weight.reshape(p.out_channels, p.in_channels), p.bias)
+    return silu(instance_norm(conv, p.norm_scale, p.norm_shift))
 
 
 # ---------------------------------------------------------------------------

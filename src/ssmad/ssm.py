@@ -11,13 +11,14 @@ whenever |z| < 1e-4 (this also covers a = 0 exactly).
 
 The resulting linear recurrence
     h_t = a_bar * h_{t-1} + b_bar * x_t,   y_t = <c, h_t>
-is evaluated two ways: ``scan_recurrent`` runs it step by step for one
-system and is the oracle, returning its float64 sums unrounded, and
-``ssm_bank_scan``, the decoder's scan, runs a bank of C independent
-single-channel systems in the chunked form of Mamba-2's state-space
-dual (Dao & Gu 2024): a lower-triangular Toeplitz matmul inside each
-chunk of SCAN_CHUNK steps, plus a prefix scan over a fixed balanced
-tree that carries the state across chunk boundaries.
+is evaluated two ways over a bank of C independent single-channel
+systems, with (C, N) parameters and a (C, L) sequence: ``scan_recurrent``
+runs it step by step and is the oracle, returning its float64 sums
+unrounded, and ``ssm_bank_scan``, the decoder's scan, runs it in the
+chunked form of Mamba-2's state-space dual (Dao & Gu 2024): a
+lower-triangular Toeplitz matmul inside each chunk of SCAN_CHUNK steps,
+plus a prefix scan over a fixed balanced tree that carries the state
+across chunk boundaries.
 Every chunk shares one step a_bar^T, so the carry runs over the real
 chunks only, with no padding to a power of two: a tree level that joins
 runs of 2^k chunks multiplies by a_bar^(T 2^k), made by squaring.
@@ -37,12 +38,9 @@ sequence.  All accumulation happens in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SsmDiscrete",
     "SERIES_THRESHOLD",
     "SCAN_CHUNK",
     "zoh",
@@ -55,28 +53,6 @@ SERIES_THRESHOLD = 1e-4
 # steps per chunk of the chunked scan: the Toeplitz block is SCAN_CHUNK^2 per
 # channel, the carry scan runs over L / SCAN_CHUNK chunks
 SCAN_CHUNK = 16
-
-
-@dataclass(frozen=True)
-class SsmDiscrete:
-    """Zero-order-hold discretisation: per-dimension a_bar, b_bar and c."""
-
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("a_bar", "b_bar", "c"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a non-empty vector")
-            object.__setattr__(self, name, arr)
-        if not (self.a_bar.size == self.b_bar.size == self.c.size):
-            raise ValueError("a_bar, b_bar, c must share one length")
-
-    @property
-    def state_size(self) -> int:
-        return self.a_bar.size
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +84,28 @@ def zoh(a: np.ndarray, delta, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # scans
 
 
-def scan_recurrent(d: SsmDiscrete, x) -> np.ndarray:
-    """Sequential evaluation of the discrete recurrence: y (L,) in float64,
+def scan_recurrent(a_bar, b_bar, c, seq) -> np.ndarray:
+    """Sequential evaluation of C discrete recurrences at once.
+
+    a_bar, b_bar, c: (C, N); seq: (C, L).  Returns y (C, L) in float64,
     unrounded, so that a check against it measures the kernel under test
-    rather than a rounding of the oracle."""
-    seq = np.ascontiguousarray(x, dtype=np.float64)
-    if seq.ndim != 1 or seq.size < 1:
-        raise ValueError("expected a non-empty 1-D sequence")
-    h = np.zeros(d.state_size, dtype=np.float64)
-    y = np.empty(seq.size, dtype=np.float64)
-    for t in range(seq.size):
-        h = d.a_bar * h + d.b_bar * seq[t]
-        y[t] = d.c @ h
+    rather than a rounding of the oracle.  The loop runs over steps only;
+    each row's readout is the batched (1, N) @ (N, 1) product, whose bytes
+    are those of that row's own ``c @ h``.
+    """
+    a_bar, b_bar, c = (np.asarray(v, dtype=np.float64) for v in (a_bar, b_bar, c))
+    if a_bar.ndim != 2 or a_bar.size < 1:
+        raise ValueError("a_bar, b_bar, c must be non-empty (C, N) arrays")
+    if not (a_bar.shape == b_bar.shape == c.shape):
+        raise ValueError("a_bar, b_bar, c must share one (C, N) shape")
+    x = np.asarray(seq, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != a_bar.shape[0] or x.shape[1] < 1:
+        raise ValueError(f"expected a ({a_bar.shape[0]}, L) sequence with L >= 1")
+    h = np.zeros_like(a_bar)
+    y = np.empty(x.shape, dtype=np.float64)
+    for t in range(x.shape[1]):
+        h = a_bar * h + b_bar * x[:, t, None]
+        y[:, t] = (c[:, None, :] @ h[:, :, None])[:, 0, 0]
     return y
 
 

@@ -19,7 +19,7 @@ from .tensor import (
     BinaryMask,
     Rng,
     Tensor,
-    write_mask_pgm,
+    write_mask_pgm_file,
     write_tensor_file,
 )
 
@@ -98,8 +98,7 @@ def write_fixture(directory, kind: str, size: int, channels: int, seed: int) -> 
         name = f"feat_{i}.mbt"
         write_tensor_file(os.path.join(directory, name), t)
         files[f"scale{i}"] = name
-    with open(os.path.join(directory, "mask.pgm"), "wb") as fh:
-        fh.write(write_mask_pgm(mask))
+    write_mask_pgm_file(os.path.join(directory, "mask.pgm"), mask)
     files["mask"] = "mask.pgm"
     write_tensor_file(os.path.join(directory, "oracle_map.mbt"), oracle)
     files["oracle_map"] = "oracle_map.mbt"

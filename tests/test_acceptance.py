@@ -49,7 +49,7 @@ from ssmad.scans import (
     hilbert_matrix,
     make_schedule,
 )
-from ssmad.ssm import SsmDiscrete, scan_recurrent, ssm_bank_scan, zoh
+from ssmad.ssm import scan_recurrent, ssm_bank_scan, zoh
 from ssmad.tensor import BinaryMask, Rng, Tensor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,7 +143,7 @@ def test_recurrence_matches_convolution_on_random_instances():
         c = rng.uniform(n, -1.0, 1.0)
         a_bar, b_bar = zoh(a, float(rng.uniform(1, 0.05, 1.0)[0]), b)
         x = rng.uniform(length, -1.0, 1.0)
-        y_rec = scan_recurrent(SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c), x)
+        y_rec = scan_recurrent(a_bar[None], b_bar[None], c[None], x[None])[0]
         # the recurrence unrolled: y = K * x with K[k] = <c, a_bar^k b_bar>
         kernel = (c * b_bar * a_bar ** np.arange(length)[:, None]).sum(axis=1)
         y_conv = np.convolve(x, kernel)[:length]
@@ -170,7 +170,7 @@ def test_bank_scan_matches_sequential():
             delta = float(rng.uniform(1, 0.05, 1.0)[0])
             x = rng.uniform(length, -1.0, 1.0)
             a_bar, b_bar = zoh(a, delta, b)
-            y_seq = scan_recurrent(SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c), x)
+            y_seq = scan_recurrent(a_bar[None], b_bar[None], c[None], x[None])[0]
             # the chunked scan as the decoder runs it, on a bank of one channel
             y_bank = ssm_bank_scan(a[None], b[None], c[None], np.array([delta]), x[None])[0]
             scale = max(float(np.max(np.abs(y_seq))), 1e-30)

@@ -87,6 +87,21 @@ def test_pyramid_validates_halving():
         ))
 
 
+@pytest.mark.parametrize(
+    "extents", [((9, 8), (4, 4), (2, 2)), ((10, 8), (5, 4), (2, 2))], ids=["scale0", "scale1"]
+)
+def test_pyramid_refuses_odd_pooled_extents(extents):
+    # hfpn_fuse pools scale 0 twice and scale 1 once, 2x2 each, so both must
+    # have even extents; this check is the only one that keeps them even
+    (h0, w0), (h1, w1), (h2, w2) = extents
+    with pytest.raises(ValueError, match="must halve"):
+        FeaturePyramid((
+            Tensor(np.zeros((2, h0, w0), np.float32)),
+            Tensor(np.zeros((4, h1, w1), np.float32)),
+            Tensor(np.zeros((8, h2, w2), np.float32)),
+        ))
+
+
 def test_pyramid_needs_three_scales():
     with pytest.raises(ValueError):
         FeaturePyramid((Tensor(np.zeros((2, 4, 4), np.float32)),))

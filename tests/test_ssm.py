@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ssmad.ssm import (
     SCAN_CHUNK,
     SERIES_THRESHOLD,
-    SsmDiscrete,
     _carry_scan,
     scan_recurrent,
     ssm_bank_scan,
@@ -76,21 +75,46 @@ def test_zoh_stability_bound():
 
 
 def test_recurrent_cumsum():
-    d = SsmDiscrete(a_bar=np.array([1.0]), b_bar=np.array([1.0]), c=np.array([1.0]))
-    y = scan_recurrent(d, [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(y, [1.0, 3.0, 6.0])
+    y = scan_recurrent([[1.0]], [[1.0]], [[1.0]], [[1.0, 2.0, 3.0]])
+    np.testing.assert_allclose(y, [[1.0, 3.0, 6.0]])
 
 
 def test_recurrent_decay():
-    d = SsmDiscrete(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([1.0]))
-    y = scan_recurrent(d, [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(y, [1.0, 0.5, 0.25])
+    y = scan_recurrent([[0.5]], [[1.0]], [[1.0]], [[1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(y, [[1.0, 0.5, 0.25]])
 
 
 def test_recurrent_zero_input():
-    d = SsmDiscrete(a_bar=np.array([0.9, 0.5]), b_bar=np.array([1.0, 2.0]), c=np.array([1.0, 1.0]))
-    y = scan_recurrent(d, np.zeros(5))
-    np.testing.assert_array_equal(y, np.zeros(5))
+    y = scan_recurrent([[0.9, 0.5]], [[1.0, 2.0]], [[1.0, 1.0]], np.zeros((1, 5)))
+    np.testing.assert_array_equal(y, np.zeros((1, 5)))
+
+
+def _recurrence_per_row(a_bar, b_bar, c, x):
+    """One row's recurrence, step by step, with the vector ``c @ h`` readout:
+    the oracle's own oracle."""
+    h, y = np.zeros(a_bar.size), np.empty(x.size)
+    for t in range(x.size):
+        h = a_bar * h + b_bar * x[t]
+        y[t] = c @ h
+    return y
+
+
+@pytest.mark.parametrize("length", [1, 17, 300])
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_recurrent_bank_rows_match_single_rows(rows, length):
+    # a broadcasting slip (x[:, t] without None, c @ h over the bank) or a
+    # reduction whose summation order differs shows up as a changed byte
+    rng = np.random.default_rng(rows * 1000 + length)
+    n = 1 + rows % 5
+    a_bar, _ = zoh(-rng.uniform(0.01, 2.0, (rows, n)), rng.uniform(0.1, 1.0, (rows, 1)), 1.0)
+    b_bar = rng.uniform(-1, 1, (rows, n))
+    c = rng.uniform(-1, 1, (rows, n))
+    x = rng.uniform(-1, 1, (rows, length))
+    got = scan_recurrent(a_bar, b_bar, c, x)
+    assert got.shape == (rows, length) and got.dtype == np.float64
+    for r in range(rows):
+        want = _recurrence_per_row(a_bar[r], b_bar[r], c[r], x[r])
+        assert got[r].tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,7 +130,7 @@ def test_lti_recurrent_equals_convolutional(n, length, seed):
     c = rng.uniform(-1, 1, n)
     a_bar, b_bar = zoh(a, float(rng.uniform(0.1, 1.0)), b)
     x = rng.uniform(-1, 1, length)
-    y_rec = scan_recurrent(SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c), x)
+    y_rec = scan_recurrent(a_bar[None], b_bar[None], c[None], x[None])[0]
     assert _rel(_convolution(a_bar, b_bar, c, x), y_rec) <= 1e-12
 
 
@@ -115,17 +139,13 @@ def test_lti_recurrent_equals_convolutional(n, length, seed):
 @example(length=1, seed=5902243)  # the mixed signal nearly cancels
 def test_scan_linearity(length, seed):
     rng = np.random.default_rng(seed)
-    d = SsmDiscrete(
-        a_bar=rng.uniform(0, 1, 3),
-        b_bar=rng.standard_normal(3),
-        c=rng.standard_normal(3),
-    )
-    x1 = rng.standard_normal(length)
-    x2 = rng.standard_normal(length)
+    bank = (rng.uniform(0, 1, (1, 3)), rng.standard_normal((1, 3)), rng.standard_normal((1, 3)))
+    x1 = rng.standard_normal((1, length))
+    x2 = rng.standard_normal((1, length))
     alpha, beta = 0.7, -1.3
-    y1 = scan_recurrent(d, x1)
-    y2 = scan_recurrent(d, x2)
-    lhs = scan_recurrent(d, alpha * x1 + beta * x2)
+    y1 = scan_recurrent(*bank, x1)
+    y2 = scan_recurrent(*bank, x2)
+    lhs = scan_recurrent(*bank, alpha * x1 + beta * x2)
     rhs = alpha * y1 + beta * y2
     # each output carries rounding relative to its own magnitude, so the
     # bound scales with the terms of the combination, not with rhs, which
@@ -141,10 +161,9 @@ def test_output_bound_for_stable_modes():
     b = rng.uniform(-1, 1, n)
     c = rng.uniform(-1, 1, n)
     a_bar, b_bar = zoh(a, 0.5, b)
-    d = SsmDiscrete(a_bar=a_bar, b_bar=b_bar, c=c)
     x = rng.uniform(-1, 1, length)
-    y = scan_recurrent(d, x)
-    bound = np.linalg.norm(d.c, 1) * np.linalg.norm(d.b_bar, np.inf) * np.max(np.abs(x)) * length
+    y = scan_recurrent(a_bar[None], b_bar[None], c[None], x[None])
+    bound = np.linalg.norm(c, 1) * np.linalg.norm(b_bar, np.inf) * np.max(np.abs(x)) * length
     assert np.all(np.abs(y) <= bound + 1e-9)
 
 
@@ -409,16 +428,23 @@ def test_bank_scan_linearity(length, seed):
 
 @pytest.mark.parametrize(
     "a_bar, b_bar, c",
-    [([], [], []), ([[0.5]], [[1.0]], [[1.0]]), ([0.5, 0.5], [1.0], [1.0, 1.0])],
+    [
+        (np.empty((1, 0)), np.empty((1, 0)), np.empty((1, 0))),
+        ([[[0.5]]], [[[1.0]]], [[[1.0]]]),
+        ([[0.5, 0.5]], [[1.0]], [[1.0, 1.0]]),
+    ],
     ids=["empty", "matrix", "mismatched"],
 )
-def test_ssm_discrete_rejects_bad_vectors(a_bar, b_bar, c):
-    with pytest.raises(ValueError):
-        SsmDiscrete(a_bar=np.array(a_bar), b_bar=np.array(b_bar), c=np.array(c))
+def test_scan_recurrent_rejects_bad_banks(a_bar, b_bar, c):
+    # "matrix" is one axis too many for a (C, N) bank
+    with pytest.raises(ValueError, match="a_bar, b_bar, c"):
+        scan_recurrent(np.array(a_bar), np.array(b_bar), np.array(c), [[1.0]])
 
 
-@pytest.mark.parametrize("x", [[], [[1.0, 2.0]]], ids=["empty", "matrix"])
+@pytest.mark.parametrize(
+    "x", [np.empty((1, 0)), [[[1.0, 2.0]]], [[1.0], [2.0]]], ids=["empty", "matrix", "rows"]
+)
 def test_scan_recurrent_rejects_non_vector_sequence(x):
-    d = SsmDiscrete(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([1.0]))
-    with pytest.raises(ValueError):
-        scan_recurrent(d, np.array(x))
+    # "matrix" has one axis too many; "rows" gives two rows to a one-row bank
+    with pytest.raises(ValueError, match=r"\(1, L\) sequence"):
+        scan_recurrent([[0.5]], [[1.0]], [[1.0]], np.array(x))
