@@ -25,26 +25,29 @@ Every threshold sweep reads integer cumulative counts at the end of each
 tie group of one descending sort.  A LabeledScores holds read-only arrays
 and sorts itself at most once, so auroc, average_precision, f1_max and
 aupro on the same scores share one sweep; evaluate sorts the pooled pixels
-once for all four.  Ground-truth regions are labelled
+once for all four.  The sort is of the values alone: no permutation is
+built, and a count per tie group places the scores it counts (the
+positives, or the pixels of one region size) among the distinct values by
+binary search.  Ground-truth regions are labelled
 without a per-pixel loop: each foreground pixel takes the smallest flat
 index in its region by min-label propagation over 8-neighbour pairs with
 pointer jumping.
 
-The sweep and the metrics' temporaries live in five rows of one float64
-block, made once per LabeledScores of n scores in g tie groups: work and
-sums hold n + 1 values, the others g + 1.  The metrics of one evaluate
-reuse its pages instead of each allocating, freeing and faulting in
-arrays of their own:
+The sweep and the metrics' temporaries live in five rows of n + 1 float64
+values, cut from one block made by the sort of n scores in g tie groups.
+The metrics of one evaluate reuse its pages instead of each allocating,
+freeing and faulting in arrays of their own:
 
-  tp    0, then the cumulative true positives at each tie-group end; kept
-  fpr   0, then the false-positive rate (ends + 1 - tp) / negatives at
-        each end; kept, and shared by auroc and aupro
-  work  scratch: the labels in sorted order for the sweep; tpr, recall
-        then precision, or 2 tp; aupro's per-pixel region sizes, its hit
-        counts per tie group and the abscissae of its last trapezoid
-  sums  scratch: the sweep's cumsum; each metric's terms before their sum;
-        aupro's region sizes in sorted order
-  pro   aupro's overlap curve, 0 first
+  tp        0, then the cumulative true positives at each tie-group end; kept
+  fpr       0, then the false-positive rate (ends + 1 - tp) / negatives at
+            each end; kept, and shared by auroc and aupro
+  distinct  the g distinct scores negated, ascending, so that tie group k
+            holds the scores equal to -distinct[k]; kept
+  work      scratch: the sort of the negated scores; tpr, recall then
+            precision, or 2 tp; aupro's overlap curve, 0 first; each
+            trapezoid's widths
+  sums      scratch: each metric's terms before their sum; aupro's hit
+            counts per tie group
 
 Each value has the bytes of the plain formula on fresh arrays: counts are
 exact integers in float64, and _trapezoid repeats np.trapezoid's
@@ -94,8 +97,8 @@ def _read_only(given, dtype) -> np.ndarray:
     return arr
 
 
-# rows of LabeledScores._rows, and the float64 values in a 4 KiB page
-_TP, _FPR, _WORK, _SUMS, _PRO = range(5)
+# rows of the block _tie_groups makes, and the float64 values in a 4 KiB page
+_TP, _FPR, _DISTINCT, _WORK, _SUMS = range(5)
 _PAGE = 512
 
 
@@ -124,44 +127,20 @@ class LabeledScores:
         object.__setattr__(self, "labels", _read_only(l, np.int64))
 
     @cached_property
-    def _tie_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Descending order and tie-group ends: the one sort of these scores.
-        Both stay writeable, because np.take copies an index array that is
-        not."""
+    def _tie_order(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The block's rows and the tie-group ends: the one sort of these
+        scores."""
         return _tie_groups(self.scores)
-
-    @cached_property
-    def _rows(self) -> list[np.ndarray]:
-        """The rows tp, fpr, work, sums and pro, cut from one float64 block:
-        one value more than the scores for work and sums, one more than the
-        tie groups for the others."""
-        scores, groups = self.scores.size + 1, self._tie_order[1].size + 1
-        sizes = (groups, groups, scores, scores, groups)
-        # each row starts a whole number of 4 KiB pages after the first, as
-        # fresh arrays do.  Rows of n + 1 values packed end to end put the
-        # row written 8 bytes past the page offset of the row read, and
-        # every load then waits on the store before it (4K aliasing): a
-        # take into one row from another ran 8 times slower
-        spans = [-(-size // _PAGE) * _PAGE for size in sizes]
-        block = np.empty(sum(spans))
-        starts = np.cumsum([0, *spans[:-1]])
-        return [block[start : start + size] for start, size in zip(starts, sizes)]
 
     @cached_property
     def _tie_counts(self) -> np.ndarray:
         """The tp row: 0, then the cumulative true positives after each
         descending tie group.  The arrays it is computed from cannot change,
         so the one sweep serves every metric of these scores."""
-        order, ends = self._tie_order
-        hits = _gather(self.labels, order, self._row(_WORK, order.size).view(np.int64))
-        cumulative = self._row(_SUMS, order.size)
-        cumulative[:] = hits
-        np.cumsum(cumulative, out=cumulative)
-        tp = self._row(_TP, ends.size + 1)
+        g = self._tie_order[1].size
+        tp = self._row(_TP, g + 1)
         tp[0] = 0.0
-        # mode="clip" on indices known in range: np.take's default mode
-        # fills a copy of out first
-        np.take(cumulative, ends, out=tp[1:], mode="clip")
+        _group_counts(self._row(_DISTINCT, g), self.scores[self.labels == 1], tp[1:])
         tp.flags.writeable = False
         return tp
 
@@ -181,7 +160,7 @@ class LabeledScores:
 
     def _row(self, row: int, size: int) -> np.ndarray:
         """The first ``size`` values of one row of the block."""
-        return self._rows[row][:size]
+        return self._tie_order[0][row][:size]
 
     @cached_property
     def positives(self) -> int:
@@ -266,37 +245,63 @@ class MetricsReport:
 # sort, at the last index of each tie group
 
 
-def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending sort order and the last sorted index of each tie group.
+def _rows(n: int) -> list[np.ndarray]:
+    """The rows tp, fpr, distinct, work and sums, n + 1 float64 values each,
+    cut from one block."""
+    # each row starts a whole number of 4 KiB pages after the first, as
+    # fresh arrays do.  Rows of n + 1 values packed end to end put the
+    # row written 8 bytes past the page offset of the row read, and
+    # every load then waits on the store before it (4K aliasing): a
+    # take into one row from another ran 8 times slower
+    span = -(-(n + 1) // _PAGE) * _PAGE
+    return list(np.empty((5, span))[:, : n + 1])
 
-    The order is the ascending sort read backwards.  It need not be stable:
-    every caller reads integer cumulative counts at tie-group ends only, and
-    the count at the end of a group is the same whatever order the group's
-    members were sorted in."""
-    ascending = np.argsort(scores)
-    order = ascending[::-1]
-    descending = scores[ascending][::-1]
-    last = np.empty(scores.size, dtype=bool)
+
+def _tie_groups(scores: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """A new block of rows with the distinct scores in its distinct row, and
+    the last descending index of each tie group.
+
+    The negated scores are sorted in place in the work row, so ascending is
+    the scores' descending order and -0.0 and 0.0 share a group.  The sort
+    builds no permutation: every caller reads integer counts at tie-group
+    ends only, and finds a score's group from its value."""
+    n = scores.size
+    rows = _rows(n)
+    descending = np.negative(scores, out=rows[_WORK][:n])
+    descending.sort()
+    last = np.empty(n, dtype=bool)
     np.not_equal(descending[:-1], descending[1:], out=last[:-1])
     last[-1] = True
-    return order, np.flatnonzero(last)
+    ends = np.flatnonzero(last)
+    # mode="clip" on indices known in range: np.take's default mode
+    # fills a copy of out first
+    np.take(descending, ends, out=rows[_DISTINCT][: ends.size], mode="clip")
+    return rows, ends
 
 
-def _gather(values: np.ndarray, order: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """values[order], as a view of ``out`` read backwards.  Reading
-    _tie_groups' order backwards gives the contiguous ascending sort, and
-    np.take copies an index array that is not contiguous."""
-    np.take(values, order[::-1], out=out, mode="clip")
-    return out[::-1]
+def _group_counts(distinct: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = how many of ``scores`` lie in tie groups 0 to k, for the
+    first out.size groups of the distinct row ``distinct``.  ``scores`` is a
+    fresh array drawn from the sorted scores; it is overwritten."""
+    keys = np.negative(scores, out=scores)
+    keys.sort()
+    # the keys in the first out.size groups are a prefix of the sorted keys
+    keys = keys[: np.searchsorted(keys, distinct[out.size - 1], side="right")]
+    out[:] = 0.0
+    np.add.at(out, np.searchsorted(distinct, keys), 1.0)
+    np.cumsum(out, out=out)
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray, d: np.ndarray, t: np.ndarray) -> float:
-    """np.trapezoid(y, x) with its operations, in its order, written into
-    the rows d and t; d may be y's own row."""
-    m = x.size - 1
-    d, t = d[:m], t[:m]
+def _trapezoid(y: np.ndarray, x: np.ndarray, t: np.ndarray, x_end=None) -> float:
+    """np.trapezoid(y, x), or with x_end appended to x, with its operations
+    in its order, written into the row t and y's own row."""
+    m = y.size - 1
+    t, d = t[:m], y[:m]
     np.add(y[1:], y[:-1], out=t)
-    np.subtract(x[1:], x[:-1], out=d)
+    # y is spent, so its row takes the widths
+    np.subtract(x[1:], x[:-1], out=d[: x.size - 1])
+    if x_end is not None:
+        d[-1] = x_end - x[-1]
     d *= t
     d /= 2.0
     return float(np.add.reduce(d))
@@ -309,7 +314,7 @@ def auroc(ls: LabeledScores) -> float:
         raise MetricPreconditionError("auroc needs both classes present")
     tp, fpr = ls._tie_counts, ls._fpr
     tpr = np.divide(tp, pos, out=ls._row(_WORK, tp.size))
-    return _trapezoid(tpr, fpr, d=tpr, t=ls._row(_SUMS, tp.size))
+    return _trapezoid(tpr, fpr, t=ls._row(_SUMS, tp.size))
 
 
 def average_precision(ls: LabeledScores) -> float:
@@ -404,57 +409,49 @@ def aupro(
     integral stops at fpr_limit (interpolating the final segment).  The
     overlap summed over regions is, per distinct region size s, the exact
     hit count in size-s regions divided by s: it never exceeds the region
-    count, and a full sweep reaches it exactly.  The per-size sums stop at
-    the tie group crossing fpr_limit, and run over every pixel at 1.
+    count, and a full sweep reaches it exactly.  Each per-size sum reads
+    the scores of that size's pixels alone, and stops at the tie group
+    crossing fpr_limit.
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricPreconditionError("fpr_limit must lie in (0, 1]")
     bits = [m.bits.reshape(-1) for m in masks]
     if not bits or not np.array_equal(pixels.labels, np.concatenate(bits)):
         raise ValueError("pooled labels are not the masks' bits")
-    regions = []  # (offset of the region's map in the pool, its flat indices)
+    by_size = {}  # region size -> its regions' flat indices in the pool
     start = 0
     for m in masks:
-        regions += [(start, region) for region in connected_components(m).regions]
+        for region in connected_components(m).regions:
+            by_size.setdefault(region.size, []).append(start + region)
         start += m.bits.size
-    if not regions:
+    if not by_size:
         raise MetricPreconditionError("aupro needs at least one anomalous region")
     if pixels.negatives == 0:
         raise MetricPreconditionError("aupro needs at least one normal pixel")
 
-    order, ends = pixels._tie_order
-    # the sweep's false positives are the size-0 pixels at or above each threshold
+    g = pixels._tie_order[1].size
     fpr = pixels._fpr
     # points at or below fpr_limit, then the crossing of the next segment:
-    # pro is read up to index inside, so the overlap sums stop at the
-    # tie-group end of that point
+    # pro is read up to index inside, so the overlap sums stop at the tie
+    # group of that point
     inside = int(np.searchsorted(fpr, fpr_limit, side="right"))
-    kept = ends[:inside]
-    sizes = pixels._row(_WORK, order.size).view(np.int64)  # 0 for a normal pixel
-    sizes[:] = 0
-    for offset, region in regions:
-        sizes[offset + region] = region.size
-    k = kept[-1] + 1
-    head = _gather(sizes, order[:k], pixels._row(_SUMS, k).view(np.int64))
-    pro = pixels._row(_PRO, kept.size + 1)
+    kept = min(inside, g)
+    pro = pixels._row(_WORK, kept + 1)
     pro[:] = 0.0
-    overlap, hits = pro[1:], pixels._row(_WORK, kept.size)  # sizes are spent
-    for s in np.unique([region.size for _, region in regions]):
-        # size-s pixels per tie group up to kept, then counted up to each end
-        hits[:] = 0.0
-        np.add.at(hits, np.searchsorted(kept, np.flatnonzero(head == s)), 1.0)
-        np.cumsum(hits, out=hits)
+    overlap, hits = pro[1:], pixels._row(_SUMS, kept)
+    distinct = pixels._row(_DISTINCT, g)
+    for s in sorted(by_size):
+        # size-s pixels in the kept tie groups, counted up to each
+        _group_counts(distinct, pixels.scores[np.concatenate(by_size[s])], hits)
         hits /= s
         overlap += hits
-    pro /= len(regions)
+    pro /= sum(map(len, by_size.values()))
 
-    x = fpr[:inside]
-    if inside < fpr.size:
-        crossing = np.interp(fpr_limit, fpr[inside - 1 : inside + 1], pro[inside - 1 :])
-        x = pixels._row(_WORK, inside + 1)
-        x[:inside] = fpr[:inside]
-        x[inside], pro[inside] = fpr_limit, crossing
-    return _trapezoid(pro[: x.size], x, d=pro, t=pixels._row(_SUMS, x.size)) / fpr_limit
+    t = pixels._row(_SUMS, inside)  # the hit counts are spent
+    if inside == fpr.size:
+        return _trapezoid(pro, fpr, t) / fpr_limit
+    pro[inside] = np.interp(fpr_limit, fpr[inside - 1 : inside + 1], pro[inside - 1 :])
+    return _trapezoid(pro, fpr[:inside], t, x_end=fpr_limit) / fpr_limit
 
 
 # ---------------------------------------------------------------------------

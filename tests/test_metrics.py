@@ -281,14 +281,6 @@ def _count_tie_groups(monkeypatch):
     return calls
 
 
-def _stable_tie_groups(scores):
-    """The tie-group helper with a stable sort, as the reference."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    return order, np.concatenate([boundary, [sorted_scores.size - 1]])
-
-
 def _tie_heavy_inputs(seed):
     """Fresh evaluate inputs whose scores take at most five levels."""
     rng = np.random.default_rng(seed)
@@ -335,14 +327,6 @@ def test_evaluate_calls_each_metric_through_the_module(monkeypatch):
     evaluate(*_tie_heavy_inputs(0))
     # image and pooled pixels each, then aupro once
     assert Counter(calls) == {"auroc": 2, "average_precision": 2, "f1_max": 2, "aupro": 1}
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_evaluate_tie_order_free_matches_stable_sort(seed, monkeypatch):
-    got = evaluate(*_tie_heavy_inputs(seed))
-    monkeypatch.setattr(metrics, "_tie_groups", _stable_tie_groups)
-    want = evaluate(*_tie_heavy_inputs(seed))
-    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
 # --------------------------------------------- byte identity of the sweep
@@ -475,6 +459,46 @@ def test_curve_metrics_of_tie_heavy_pools_match_parent(seed):
     for limit in (0.05, 0.3, 1.0):
         # aupro first as well: its scratch rows must not disturb tp and fpr
         _assert_curve_metrics_match_parent(maps, masks, limit, ["aupro", *_CURVE_METRICS])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_evaluate_bytes_match_parent_formulas(seed):
+    image, maps, masks = _tie_heavy_inputs(seed)
+    got = evaluate(image, maps, masks)
+    limit = DEFAULT_FPR_LIMIT
+    image_want = _parent_curve_metrics([image.scores[None]], [image.labels[None]], limit)
+    pixel_want = _parent_curve_metrics([t.array for t in maps], [m.bits for m in masks], limit)
+    want = [image_want[name] for name in ("auroc", "average_precision", "f1_max")]
+    want += [pixel_want[name] for name in _CURVE_METRICS]
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want]
+
+
+def _edge_pool(kind, seed):
+    """One map of 12x12 whose scores and labels take an edge of the sweep."""
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((12, 12)) < 0.3).astype(np.uint8)
+    bits[0, 0], bits[-1, -1] = 1, 0
+    if kind == "signed zeros":
+        score = rng.choice(np.array([-0.0, 0.0, 0.25]), (12, 12))
+    elif kind == "negative":
+        score = np.round(rng.normal(-2.0, 1.0, (12, 12)), 1)
+    elif kind == "subnormal":
+        # float32 subnormals, 0 and the smallest normal
+        score = rng.integers(0, 5, (12, 12)) * np.float32(2.0**-149)
+        score[rng.random((12, 12)) < 0.2] = np.finfo(np.float32).tiny
+    else:  # every pixel positive but one
+        score = np.round(rng.random((12, 12)), 1)
+        bits[:] = 1
+        bits.flat[int(rng.integers(0, bits.size))] = 0
+    return [score.astype(np.float32)], [bits]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["signed zeros", "negative", "subnormal", "all positive but one"])
+def test_curve_metrics_of_edge_pools_match_parent(kind, seed):
+    maps, masks = _edge_pool(kind, seed)
+    for limit in (0.05, 0.3, 1.0):
+        _assert_curve_metrics_match_parent(maps, masks, limit)
 
 
 @pytest.mark.parametrize("label", [0, 1])
@@ -795,7 +819,9 @@ def _full_sweep_aupro(maps, masks, fpr_limit):
         scores.append(t.array.reshape(-1).astype(np.float64))
     all_sizes = np.concatenate(pixel_sizes)
     negatives = int((all_sizes == 0).sum())
-    order, ends = metrics._tie_groups(np.concatenate(scores))
+    pooled = np.concatenate(scores)
+    order = np.argsort(-pooled)
+    ends = np.concatenate([np.nonzero(np.diff(pooled[order]))[0], [pooled.size - 1]])
     sorted_sizes = all_sizes[order]
     overlap = np.zeros(ends.size)
     for s in np.unique(region_sizes):
@@ -851,6 +877,14 @@ def test_aupro_truncated_sweep_matches_full_sweep(seed):
         got = aupro(pixels, masks, limit)
         want = _full_sweep_aupro(maps, masks, limit)
         assert got.hex() == want.hex(), limit
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_curve_metrics_of_many_sized_regions_match_parent(seed):
+    maps, masks = _many_sized_regions(seed)
+    maps, masks = [t.array for t in maps], [m.bits for m in masks]
+    for limit in (0.3, 1.0):
+        _assert_curve_metrics_match_parent(maps, masks, limit)
 
 
 def test_aupro_order_invariant():
