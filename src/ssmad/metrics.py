@@ -19,7 +19,8 @@ across a threshold together.
   mad                mean of the seven protocol values
 
 Image-level metrics take one score per image; pixel-level metrics pool
-every pixel of every map.  All accumulation is float64.
+every pixel of every map.  float32 scores are sorted as float32, and all
+accumulation is float64.
 
 Every threshold sweep reads integer cumulative counts at the end of each
 tie group of one descending sort.  A LabeledScores holds read-only arrays
@@ -28,10 +29,10 @@ aupro on the same scores share one sweep; evaluate sorts the pooled pixels
 once for all four.  The sort is of the values alone: no permutation is
 built, and a count per tie group places the scores it counts (the
 positives, or the pixels of one region size) among the distinct values by
-binary search.  Ground-truth regions are labelled
-without a per-pixel loop: each foreground pixel takes the smallest flat
-index in its region by min-label propagation over 8-neighbour pairs with
-pointer jumping.
+binary search.  Ground-truth regions are labelled by row runs: each run
+of foreground pixels takes the smallest run number in its region by
+min-label propagation over 8-adjacent run pairs with pointer jumping, and
+its pixels take the run's label.
 
 The sweep and the metrics' temporaries live in five rows of n + 1 float64
 values, cut from one block made by the sort of n scores in g tie groups.
@@ -43,9 +44,9 @@ freeing and faulting in arrays of their own:
             each end; kept, and shared by auroc and aupro
   distinct  the g distinct scores negated, ascending, so that tie group k
             holds the scores equal to -distinct[k]; kept
-  work      scratch: the sort of the negated scores; tpr, recall then
-            precision, or 2 tp; aupro's overlap curve, 0 first; each
-            trapezoid's widths
+  work      scratch: the sort of the negated scores, in a view of the row
+            in their own dtype; tpr, recall then precision, or 2 tp;
+            aupro's overlap curve, 0 first; each trapezoid's widths
   sums      scratch: each metric's terms before their sum; aupro's hit
             counts per tie group
 
@@ -114,7 +115,8 @@ class LabeledScores:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        s = _read_only(self.scores, np.float64)
+        f32 = np.asarray(self.scores).dtype == np.float32  # sorted as float32
+        s = _read_only(self.scores, np.float32 if f32 else np.float64)
         l = np.asarray(self.labels)
         if s.ndim != 1 or l.ndim != 1 or s.size != l.size or s.size < 1:
             raise ValueError("scores and labels must be equal-length vectors")
@@ -225,19 +227,8 @@ class MetricsReport:
     def csv_cells(self) -> tuple[str, str, str]:
         """(image, pixel, mad) cells, values x100 at one decimal."""
         fmt = lambda v: f"{100.0 * v:.1f}"
-        image = "/".join(
-            fmt(v) for v in (self.image_auroc, self.image_ap, self.image_f1_max)
-        )
-        pixel = "/".join(
-            fmt(v)
-            for v in (
-                self.pixel_auroc,
-                self.pixel_ap,
-                self.pixel_f1_max,
-                self.pixel_aupro,
-            )
-        )
-        return image, pixel, fmt(self.mad())
+        cells = [fmt(v) for v in self.values()]
+        return "/".join(cells[:3]), "/".join(cells[3:]), fmt(self.mad())
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +252,15 @@ def _tie_groups(scores: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """A new block of rows with the distinct scores in its distinct row, and
     the last descending index of each tie group.
 
-    The negated scores are sorted in place in the work row, so ascending is
-    the scores' descending order and -0.0 and 0.0 share a group.  The sort
-    builds no permutation: every caller reads integer counts at tie-group
-    ends only, and finds a score's group from its value."""
+    The negated scores are sorted in place in a view of the work row in their
+    own dtype, so ascending is the scores' descending order and -0.0 and 0.0
+    share a group.  The sort builds no permutation: every caller reads
+    integer counts at tie-group ends only, and finds a score's group from
+    its value.  The distinct scores pass through the free sums row, and
+    reach the distinct row by an exact cast to float64."""
     n = scores.size
     rows = _rows(n)
-    descending = np.negative(scores, out=rows[_WORK][:n])
+    descending = np.negative(scores, out=rows[_WORK].view(scores.dtype)[:n])
     descending.sort()
     last = np.empty(n, dtype=bool)
     np.not_equal(descending[:-1], descending[1:], out=last[:-1])
@@ -275,14 +268,17 @@ def _tie_groups(scores: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     ends = np.flatnonzero(last)
     # mode="clip" on indices known in range: np.take's default mode
     # fills a copy of out first
-    np.take(descending, ends, out=rows[_DISTINCT][: ends.size], mode="clip")
+    distinct = rows[_SUMS].view(scores.dtype)[: ends.size]
+    np.take(descending, ends, out=distinct, mode="clip")
+    np.copyto(rows[_DISTINCT][: ends.size], distinct)
     return rows, ends
 
 
 def _group_counts(distinct: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
     """out[k] = how many of ``scores`` lie in tie groups 0 to k, for the
     first out.size groups of the distinct row ``distinct``.  ``scores`` is a
-    fresh array drawn from the sorted scores; it is overwritten."""
+    fresh array drawn from the sorted scores, and is overwritten; float32
+    keys compare exactly with the float64 distinct values cast from them."""
     keys = np.negative(scores, out=scores)
     keys.sort()
     # the keys in the first out.size groups are a prefix of the sorted keys
@@ -350,31 +346,29 @@ def connected_components(mask: BinaryMask) -> RegionSet:
     """8-connected regions in raster order of their first pixel; each region
     holds its sorted flat indices.
 
-    Foreground pixels are numbered in raster order and each starts as its
-    own label.  Every round hooks the labels at both ends of each
-    8-neighbour pair to the smaller of the two, then jumps pointers
-    (``lab = lab[lab]``) until nothing changes.  When every pair agrees, each
-    pixel carries the smallest number, hence the first pixel, of its region.
+    Foreground runs of each row are numbered in raster order and each starts
+    as its own label.  Every round hooks the labels at both ends of each pair
+    of 8-adjacent runs, one row apart, to the smaller of the two, then jumps
+    pointers (``lab = lab[lab]``) until nothing changes.  When every pair
+    agrees, each run carries the smallest number, hence the first pixel, of
+    its region, and passes it to its pixels.
     """
     h, w = mask.height, mask.width
     flat = np.flatnonzero(mask.bits)
     if flat.size == 0:
         return RegionSet(height=h, width=w, regions=())
-    ids = np.full((h, w), -1, dtype=np.int64)
-    ids.flat[flat] = np.arange(flat.size)
-    # each 8-neighbour pair once: right, down-left, down, down-right
-    ends_a, ends_b = [], []
-    for a, b in (
-        (ids[:, :-1], ids[:, 1:]),
-        (ids[:-1, 1:], ids[1:, :-1]),
-        (ids[:-1, :], ids[1:, :]),
-        (ids[:-1, :-1], ids[1:, 1:]),
-    ):
-        both = (a >= 0) & (b >= 0)
-        ends_a.append(a[both])
-        ends_b.append(b[both])
-    u, v = np.concatenate(ends_a), np.concatenate(ends_b)
-    lab = np.arange(flat.size)
+    # a run starts where the flat index jumps or a row begins
+    first = np.flatnonzero((np.diff(flat, prepend=-2) != 1) | (flat % w == 0))
+    length = np.diff(first, append=flat.size)
+    # keys row * (w + 1) + column: a column just off either edge is a gap, in no run
+    lo = flat[first] + flat[first] // w
+    hi = lo + (length - 1)
+    # each run v with the runs u of the row above: hi_u >= lo_v - 1, lo_u <= hi_v + 1
+    top = np.searchsorted(hi, lo - (w + 2))
+    count = np.searchsorted(lo, hi - w, side="right") - top
+    v = np.repeat(np.arange(first.size), count)
+    u = np.arange(v.size) - np.repeat(np.cumsum(count) - count - top, count)
+    lab = np.arange(first.size)
     while True:
         lu, lv = lab[u], lab[v]
         if np.array_equal(lu, lv):
@@ -387,6 +381,7 @@ def connected_components(mask: BinaryMask) -> RegionSet:
             if np.array_equal(jumped, lab):
                 break
             lab = jumped
+    lab = np.repeat(lab, length)
     order = np.argsort(lab, kind="stable")
     starts = np.flatnonzero(np.diff(lab[order])) + 1
     return RegionSet(height=h, width=w, regions=tuple(np.split(flat[order], starts)))
@@ -418,13 +413,15 @@ def aupro(
     bits = [m.bits.reshape(-1) for m in masks]
     if not bits or not np.array_equal(pixels.labels, np.concatenate(bits)):
         raise ValueError("pooled labels are not the masks' bits")
-    by_size = {}  # region size -> its regions' flat indices in the pool
-    start = 0
+    # the pool index of every region pixel, and the size of every region
+    index, sizes, start = [], [], 0
     for m in masks:
-        for region in connected_components(m).regions:
-            by_size.setdefault(region.size, []).append(start + region)
+        regions = connected_components(m).regions
+        if regions:
+            index.append(np.concatenate(regions) + start)
+            sizes.append(np.fromiter(map(len, regions), np.int64, len(regions)))
         start += m.bits.size
-    if not by_size:
+    if not sizes:
         raise MetricPreconditionError("aupro needs at least one anomalous region")
     if pixels.negatives == 0:
         raise MetricPreconditionError("aupro needs at least one normal pixel")
@@ -440,12 +437,15 @@ def aupro(
     pro[:] = 0.0
     overlap, hits = pro[1:], pixels._row(_SUMS, kept)
     distinct = pixels._row(_DISTINCT, g)
-    for s in sorted(by_size):
+    sizes = np.concatenate(sizes)
+    scores = pixels.scores[np.concatenate(index)]
+    size_of = np.repeat(sizes, sizes)
+    for s in np.unique(sizes):
         # size-s pixels in the kept tie groups, counted up to each
-        _group_counts(distinct, pixels.scores[np.concatenate(by_size[s])], hits)
+        _group_counts(distinct, scores[size_of == s], hits)
         hits /= s
         overlap += hits
-    pro /= sum(map(len, by_size.values()))
+    pro /= sizes.size
 
     t = pixels._row(_SUMS, inside)  # the hit counts are spent
     if inside == fpr.size:
@@ -480,7 +480,7 @@ def evaluate(
     for t, m in zip(maps, masks):
         if t.ndim != 2 or t.shape != (m.height, m.width):
             raise ValueError(f"map shape {t.shape} != mask {m.height}x{m.width}")
-    scores = np.concatenate([t.array.reshape(-1) for t in maps], dtype=np.float64)
+    scores = np.concatenate([t.array.reshape(-1) for t in maps], dtype=np.float32)
     labels = np.concatenate([m.bits.reshape(-1) for m in masks], dtype=np.int64)
     # fresh arrays nobody else holds: freezing them spares LabeledScores a copy
     scores.flags.writeable = labels.flags.writeable = False

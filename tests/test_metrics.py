@@ -501,6 +501,31 @@ def test_curve_metrics_of_edge_pools_match_parent(kind, seed):
         _assert_curve_metrics_match_parent(maps, masks, limit)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["signed zeros", "negative", "subnormal", "all positive but one"])
+def test_curve_metrics_of_edge_pools_match_as_float32_and_float64(kind, seed):
+    # the float32 pool is sorted as float32, its float64 cast as float64
+    (score,), (bits,) = _edge_pool(kind, seed)
+    masks = [BinaryMask(bits)]
+    for limit in (0.05, 0.3, 1.0):
+        got = {}
+        for dtype in (np.float32, np.float64):
+            pixels = LabeledScores(score.reshape(-1).astype(dtype), bits.reshape(-1))
+            got[dtype] = [f(pixels, masks, limit).hex() for f in _CURVE_METRICS.values()]
+        assert got[np.float32] == got[np.float64], limit
+
+
+@pytest.mark.parametrize(
+    "dtype, kept",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float16, np.float64),
+     (np.int64, np.float64), (np.uint8, np.float64)],
+)
+def test_labeled_scores_keep_float32_and_widen_other_dtypes(dtype, kept):
+    ls = LabeledScores(np.array([3, 1, 2], dtype=dtype), [1, 0, 1])
+    assert ls.scores.dtype == kept and ls.scores.tolist() == [3.0, 1.0, 2.0]
+    assert LabeledScores([0.5, 0.25], [1, 0]).scores.dtype == np.float64
+
+
 @pytest.mark.parametrize("label", [0, 1])
 def test_single_class_raises_without_runtime_warning(label):
     ls = LabeledScores([0.3, 0.3, 0.8, 0.1], [label] * 4)
@@ -622,6 +647,11 @@ def _spiral(n):
             return bits
 
 
+def _bits(rows):
+    """A mask drawn as rows of '#' (foreground) and '.', joined by '/'."""
+    return np.array([[c == "#" for c in row] for row in rows.split("/")], np.uint8)
+
+
 _STRESS_MASKS = {
     "serpentine-64": (_serpentine(64), 1),
     "spiral-40": (_spiral(40), 1),
@@ -631,6 +661,13 @@ _STRESS_MASKS = {
     "one-by-n": ((np.arange(50) % 7 < 3).astype(np.uint8).reshape(1, 50), 8),
     "n-by-one": ((np.arange(50) % 7 < 3).astype(np.uint8).reshape(50, 1), 8),
     "one-by-one": (np.ones((1, 1), np.uint8), 1),
+    # row runs: (r, w - 1) and (r + 1, 0) are adjacent in flat order only
+    "row-wrap": (_bits("..#/#../..#"), 3),
+    "row-wrap-runs": (_bits("..##/#.../...#/##.."), 4),
+    # runs one row apart whose ends meet only at a corner, or miss by one
+    "corner-right": (_bits("##.../..##./....#"), 1),
+    "corner-left": (_bits("...##/.##../#...."), 1),
+    "one-column-apart": (_bits("##.../...##"), 2),
 }
 
 
@@ -1004,7 +1041,8 @@ def _memory_guard_inputs():
 
 def test_evaluate_memory_peak_per_pixel():
     # the plain formulas peaked at 82 bytes per pooled pixel on 262,144
-    # tie-free pixels; the shared block must not trade memory for speed
+    # tie-free pixels; the shared block must not trade memory for speed.
+    # With the scores pooled as float32 the traced peak is 63.7
     image, maps, masks = _memory_guard_inputs()
     pixels = sum(t.array.size for t in maps)
     # the imports numpy makes on first use are not the sweep's

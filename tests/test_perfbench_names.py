@@ -13,7 +13,10 @@ import inspect
 import sys
 from pathlib import Path
 
-from ssmad import blocks, pipeline, scans
+import numpy as np
+
+from ssmad import blocks, metrics, pipeline, scans
+from ssmad.tensor import BinaryMask, Tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +57,24 @@ def test_schedule_cache_is_not_make_schedule():
         if callable(getattr(obj, "cache_info", None))
     ]
     assert cached and "make_schedule" not in cached
+
+
+def test_evaluate_labels_every_mask_through_the_module(monkeypatch):
+    # perfbench's metrics.components span and metrics.regions count wrap
+    # metrics.connected_components; an evaluate that labelled its masks
+    # another way would read them as silent zeros
+    real, calls = metrics.connected_components, []
+
+    def counting(mask):
+        calls.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(metrics, "connected_components", counting)
+    rng = np.random.default_rng(0)
+    bits = (rng.random((4, 6, 5)) < 0.4).astype(np.uint8)
+    bits[0, 0, 0], bits[0, -1, -1], bits[3] = 1, 0, 0  # the last mask is empty
+    masks = [BinaryMask(b) for b in bits]
+    maps = [Tensor(rng.random((6, 5)).astype(np.float32)) for _ in masks]
+    image = metrics.LabeledScores([0.9, 0.4, 0.7, 0.1], [1, 1, 1, 0])
+    metrics.evaluate(image, maps, masks)
+    assert [id(m) for m in calls] == [id(m) for m in masks]
