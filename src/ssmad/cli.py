@@ -298,10 +298,7 @@ def cmd_forward(args) -> int:
     pyramid = _load_pyramid(args.pyramid)
     cfg = _load_config(args.config)
     channels = pyramid.channels
-    try:
-        n_params, cells = cfg.footprint(channels, pyramid.top_resolution)
-    except ValueError as exc:
-        raise CliError(f"bad config: {exc}") from None
+    n_params, cells = cfg.footprint(channels, pyramid.top_resolution)
     if max(n_params, cells) > MAX_DECODER_CELLS:
         raise CliError(
             "bad config: stage_depths, hss_per_stage, directions, state_size, expansion "

@@ -53,6 +53,7 @@ from .tensor import (
     MbtError,
     Rng,
     Tensor,
+    _brief,
     bilinear_resize,
     read_tensor_file,
     write_tensor_file,
@@ -140,6 +141,18 @@ class DecoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scan_method, ScanMethod):
+            raise TypeError(f"scan_method must be a ScanMethod, got {_brief(self.scan_method)}")
+        for d in self.directions:
+            if not isinstance(d, ScanDirection):
+                raise TypeError(f"directions must be ScanDirection members, got {_brief(d)}")
+        counts = {"stage_depths": self.stage_depths, "hss_per_stage": self.hss_per_stage,
+                  "state_size": (self.state_size,), "expansion": (self.expansion,),
+                  "local_kernels": self.local_kernels, "seed": (self.seed,)}
+        for name, values in counts.items():
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise TypeError(f"{name} must be integers, got {_brief(v)}")
         if len(self.stage_depths) != 4 or any(d < 1 for d in self.stage_depths):
             raise ValueError("stage_depths must be four positive counts")
         if len(self.hss_per_stage) != 4 or any(m < 1 for m in self.hss_per_stage):

@@ -50,7 +50,6 @@ __all__ = [
     "UnsupportedGeometry",
     "NonSquareRotation",
     "hilbert_matrix",
-    "base_schedule",
     "make_schedule",
 ]
 
@@ -175,8 +174,8 @@ def _morton_key(r: np.ndarray, c: np.ndarray, bits: int) -> np.ndarray:
     return key
 
 
-def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
-    """Forward-direction schedule of the given curve on an h x w grid."""
+def _base_order(method: ScanMethod, h: int, w: int) -> np.ndarray:
+    """Forward-direction visit order of the given curve on an h x w grid."""
     if h < 1 or w < 1:
         raise UnsupportedGeometry("grid extents must be >= 1")
     if h * w > MAX_GRID_CELLS:
@@ -226,7 +225,7 @@ def base_schedule(method: ScanMethod, h: int, w: int) -> ScanSchedule:
     else:  # pragma: no cover - closed enum
         raise ValueError(f"unknown method {method}")
 
-    return ScanSchedule(height=h, width=w, order=order)
+    return order
 
 
 @lru_cache(maxsize=512)
@@ -236,7 +235,7 @@ def _cached_schedule(method: ScanMethod, direction: ScanDirection, h: int, w: in
     # is then mapped back into the caller's grid, so the result always
     # addresses an h x w map
     bh, bw = (w, h) if transpose else (h, w)
-    order = base_schedule(method, bh, bw).order
+    order = _base_order(method, bh, bw)
     if transpose or rotate:
         if rotate and h != w:
             raise NonSquareRotation(

@@ -122,6 +122,31 @@ def test_config_rejects_bad_depths():
         _micro_cfg(stage_depths=(1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scan_method", "hilbert"),
+        ("directions", ("forward", "reverse")),
+        ("stage_depths", (1.5, 1, 1, 1)),
+        ("hss_per_stage", [1, 1, "1", 1]),
+        ("state_size", 2.5),
+        ("expansion", np.float64(2.0)),
+        ("local_kernels", (5, True)),
+        ("seed", True),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    # each would build a config that then fails deep inside the decoder,
+    # or, for a bool seed, be taken as 0 or 1 without a word
+    with pytest.raises(TypeError, match=field):
+        DecoderConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_and_lists():
+    cfg = DecoderConfig(stage_depths=[1, 1, 1, 1], state_size=np.int64(3), seed=np.uint8(7))
+    assert cfg.state_size == 3 and cfg.seed == 7
+
+
 @pytest.mark.parametrize("field", ["state_size", "expansion"])
 def test_config_rejects_empty_banks(field):
     with pytest.raises(ValueError, match=field):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import ssmad
 from ssmad import blocks, cli, metrics, pipeline, scans, ssm, synth, tensor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +40,20 @@ def test_all_names_the_public_functions_and_classes(module):
         if not name.startswith("_") and _is_api(obj) and obj.__module__ == module.__name__
     }
     assert exported == defined
+
+
+# what the import system sets on a package; any other dunder is the
+# package's own, as a __version__ would be
+_IMPORT_DUNDERS = {
+    "__name__", "__doc__", "__package__", "__loader__", "__spec__", "__path__",
+    "__file__", "__cached__", "__builtins__",
+}
+
+
+def test_package_root_binds_only_modules():
+    # every name is imported from its module; the root is no second path
+    bound = {n for n, obj in vars(ssmad).items() if not inspect.ismodule(obj)}
+    assert bound - _IMPORT_DUNDERS == set()
 
 
 def _readme_section(heading: str) -> str:
