@@ -26,9 +26,11 @@ second is the first's rows read backwards, a mirrored copy.  No threads
 are used, so every output byte depends only on the parameters and the
 input.
 
-SiLU, layer norm and instance norm each update one float64 working array in
-place; the two norms centre the data once and give the bytes of ``np.mean``
-and ``np.var``.
+SiLU, layer norm and instance norm each update one float32 working array in
+place, the dtype of the maps they read and write; the two norms sum their
+means and variances in float64 and form the squares in float64 (see
+``_normalise``).  The bank's sequence, its scan and the sum over
+directions stay float64.
 
 A bank's discretised a_bar, b_bar and c do not change along the sequence,
 so ``ssm_bank_scan`` (in ``ssm``) evaluates it in the chunked form of
@@ -281,14 +283,16 @@ class LssParams:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x) in one float64 working array, clipped at +-700 inside
-    the exp."""
-    t = np.negative(x, dtype=np.float64)
-    np.clip(t, -700.0, 700.0, out=t)
-    np.exp(t, out=t)
+    """x * sigmoid(x) = x / (1 + exp(-x)) in one float32 working array.
+
+    Where exp(-x) overflows float32 (x below about -88.7) the quotient is
+    x / inf = -0.0; silu's magnitude there is below 3e-37.
+    """
+    t = np.negative(x, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
     t += 1.0
-    np.divide(x, t, out=t, dtype=np.float64)
-    return t.astype(np.float32)
+    return np.divide(x, t, out=t, dtype=np.float32)
 
 
 def _normalise(
@@ -296,20 +300,33 @@ def _normalise(
     eps: float,
 ) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) * scale + shift over ``axes`` in one
-    float64 working array, scale and shift per channel (axis 0).
+    float32 working array, scale and shift per channel (axis 0).
 
-    The data are centred once; mean and biased variance are sum / n, the
-    same bytes as ``np.mean`` and ``np.var``.
+    Mean and biased variance are float64 sums / n.  The data are centred
+    in float32 on the mean's float32 rounding and then on its rounding
+    residual, so a mean far from zero costs no more than a float32 step of
+    the centred values; their squares are formed and summed in float64,
+    so they cannot overflow.
+
+    The working array holds x / 2 - mean / 2, which stays in float32's
+    range however widely x is spread, and is divided by
+    sqrt(var / 4 + eps / 4).  Halving is exact above float32's smallest
+    normal, so the output bytes are those of the unhalved form there;
+    below it, it moves a value by at most 2^-150, which moves the output
+    by less than 5e-43.
     """
-    z = x.astype(np.float64)
     n = math.prod(x.shape[a] for a in axes)
-    z -= z.sum(axis=axes, keepdims=True) / n
-    var = np.square(z).sum(axis=axes, keepdims=True) / n
-    z /= np.sqrt(var + eps)
+    half_mean = x.sum(axis=axes, keepdims=True, dtype=np.float64) / (2 * n)
+    half_mean32 = half_mean.astype(np.float32)
+    z = np.multiply(x, np.float32(0.5), dtype=np.float32)
+    z -= half_mean32
+    z -= (half_mean - half_mean32).astype(np.float32)
+    quarter_var = np.square(z, dtype=np.float64).sum(axis=axes, keepdims=True) / n
+    z /= np.sqrt(quarter_var + 0.25 * eps).astype(np.float32)
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     z *= scale.reshape(per_channel)
     z += shift.reshape(per_channel)
-    return z.astype(np.float32)
+    return z
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 residual identities, initialization contracts, and the permutation
 consistency of the gather/scan/scatter path."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,10 +29,12 @@ from ssmad.blocks import (
 from ssmad.pipeline import (
     DecoderConfig,
     FeaturePyramid,
+    anomaly_map,
     init_block_params,
     init_conv_block,
     init_decoder_params,
     init_hss_params,
+    mse_loss,
     pipeline_forward,
 )
 from ssmad.scans import ScanDirection, ScanMethod, make_schedule
@@ -117,8 +120,13 @@ def test_silu_known_points():
 
 
 def test_silu_handles_extreme_inputs():
-    out = silu(np.array([-1e4, 1e4], dtype=np.float32))
-    assert np.isfinite(out).all()
+    # below about -108.7, x * sigmoid(x) rounds to float32 -0.0; above
+    # about 17, exp(-x) is below half a float32 step of 1, so silu(x) = x
+    x = np.array([-3.4e38, -1e30, -1e4, -200.0, 20.0, 1e4, 1e30, 3.4e38], np.float32)
+    out = silu(x)
+    assert out.dtype == np.float32
+    assert (out[:4] == 0.0).all() and np.signbit(out[:4]).all()
+    assert out[4:].tobytes() == x[4:].tobytes()
 
 
 def test_layer_norm_normalizes_channel_axis():
@@ -138,24 +146,25 @@ def test_instance_norm_constant_channel_is_shift():
 
 
 def _allocating_silu(x):
-    """silu as it was before its single working array: fresh float64
-    arrays for the clip, the exp and the quotient."""
+    """Oracle: silu in float64, with fresh arrays for the clip, the exp
+    and the quotient, returned unrounded."""
     z = x.astype(np.float64)
-    out = z / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
-    return out.astype(np.float32)
+    return z / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
 
 
 def _mean_var_norm(x, scale, shift, eps, axis):
-    """layer_norm (axis 0) and instance_norm (axes 1, 2) as they were:
-    np.mean and np.var, which centres the data a second time."""
+    """Oracle: layer_norm (axis 0) and instance_norm (axes 1, 2) in
+    float64 through np.mean and np.var, returned unrounded."""
     z = x.astype(np.float64)
     mean = z.mean(axis=axis, keepdims=True)
     var = z.var(axis=axis, keepdims=True)
     out = (z - mean) / np.sqrt(var + eps)
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     out = out * scale.astype(np.float64).reshape(per_channel)
-    out = out + shift.astype(np.float64).reshape(per_channel)
-    return out.astype(np.float32)
+    return out + shift.astype(np.float64).reshape(per_channel)
+
+
+_EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _np_pad_columns(x, k):
@@ -172,13 +181,20 @@ def _np_pad_columns(x, k):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(6, 7, 5), (3, 1, 1), (1, 4, 9)])
-def test_silu_bytes_match_allocating_form(shape, dtype):
+def test_silu_within_bound_of_float64_form(shape, dtype):
     rng = np.random.default_rng(sum(shape))
     x = (rng.standard_normal(shape) * 30.0).astype(dtype)
-    # both clip edges, |x| past them, signed zeros and a denormal
-    edges = [-1e4, -701.0, -700.5, -700.0, -0.0, 0.0, 1e-310, 700.0, 700.5, 701.0, 1e4]
+    # the old float64 clip edges, float32 exp's overflow edge near -88.7,
+    # values whose silu is a float32 subnormal or rounds to -0.0, float32's
+    # largest magnitudes, signed zeros and a float64 denormal
+    edges = [-3.4e38, -1e30, -1e6, -1e4, -701.0, -700.5, -700.0, -110.0, -100.0,
+             -90.0, -88.0, -0.0, 0.0, 1e-310, 88.0, 700.0, 700.5, 701.0, 1e4, 3.4e38]
     x.flat[:len(edges)] = np.array(edges[:x.size], dtype=dtype)
-    assert silu(x).tobytes() == _allocating_silu(x).tobytes()
+    got = silu(x)
+    assert got.dtype == np.float32
+    # silu works in float32, so a float64 input is rounded to float32 first
+    want = _allocating_silu(x.astype(np.float32))
+    assert (np.abs(got - want) <= 4 * _EPS32 * np.abs(want) + 1e-35).all()
 
 
 def _norm_cases():
@@ -186,34 +202,56 @@ def _norm_cases():
     offset = 1e4 + rng.standard_normal((5, 6, 6))      # mean far from zero
     constant = rng.standard_normal((4, 5, 5))
     constant[1] = 3.25                                  # a zero-variance channel
-    # a few float32 steps around 1e4, variance below eps: centring the data
-    # a second time moves some output bytes here
+    # a few float32 steps around 1e4, variance below eps: centring on the
+    # float32-rounded mean alone moves the output by up to 0.17 here
     near_constant = 1e4 * (1.0 + 3e-7 * rng.standard_normal((3, 11, 13)))
+    # |x - mean| past 1.8e19, whose float32 square would overflow
+    huge = 1e30 * rng.standard_normal((4, 5, 6))
+    # |x - mean| past float32's range, along the channels and within each
+    # channel, from float32 data
+    wide = 3e38 * rng.uniform(0.9, 1.0, (4, 5, 6))
+    wide[0] *= -1.0
+    wide[1:, 0, 0] *= -1.0
     return {
         "random": rng.standard_normal((8, 6, 5)),
         "offset": offset,
+        "offset-1e6": 1e6 + rng.standard_normal((6, 7, 5)),
         "near-constant": near_constant,
         "constant-channel": constant,
         "one-channel": rng.standard_normal((1, 4, 4)),
         "one-by-one": rng.standard_normal((6, 1, 1)),
         "all-constant": np.full((3, 4, 4), -2.5),
+        "huge": huge,
+        "wide": wide,
     }
 
 
 @pytest.mark.parametrize("case", sorted(_norm_cases()))
-def test_norms_bytes_match_mean_var_form(case):
+def test_norms_within_bound_of_mean_var_form(case):
     x = _norm_cases()[case].astype(np.float32)
     c = x.shape[0]
     rng = np.random.default_rng(c)
     scale = rng.uniform(0.5, 2.0, c).astype(np.float32)
     shift = rng.uniform(-1.0, 1.0, c).astype(np.float32)
-    got = layer_norm(x, scale, shift)
-    assert got.tobytes() == _mean_var_norm(x, scale, shift, blocks.LN_EPS, 0).tobytes()
     flat = x.reshape(c, -1)  # layer_norm over a (C, L) sequence
-    assert (layer_norm(flat, scale, shift).tobytes()
-            == _mean_var_norm(flat, scale, shift, blocks.LN_EPS, 0).tobytes())
-    got = instance_norm(x, scale, shift)
-    assert got.tobytes() == _mean_var_norm(x, scale, shift, blocks.IN_EPS, (1, 2)).tobytes()
+    for got, want in [
+        (layer_norm(x, scale, shift), _mean_var_norm(x, scale, shift, blocks.LN_EPS, 0)),
+        (layer_norm(flat, scale, shift), _mean_var_norm(flat, scale, shift, blocks.LN_EPS, 0)),
+        (instance_norm(x, scale, shift),
+         _mean_var_norm(x, scale, shift, blocks.IN_EPS, (1, 2))),
+    ]:
+        assert got.dtype == np.float32
+        assert (np.abs(got - want) <= 4 * _EPS32 * (np.abs(want) + 1.0)).all()
+
+
+def test_elementwise_passes_leave_their_input_alone():
+    x = np.random.default_rng(5).standard_normal((4, 5, 6)).astype(np.float32)
+    before = x.tobytes()
+    x.flags.writeable = False  # a write into x raises
+    scale, shift = np.full(4, 1.5, np.float32), np.full(4, 0.25, np.float32)
+    for out in (silu(x), layer_norm(x, scale, shift), instance_norm(x, scale, shift)):
+        assert not np.shares_memory(out, x)
+    assert x.tobytes() == before
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -339,7 +377,9 @@ def _rect_pyramid(seed, channels, h, w):
     ))
 
 
-@pytest.mark.parametrize(
+# two small decoders: Hilbert with all eight directions, and sweep on a
+# non-square grid with the four non-rot directions
+_REFERENCE_CASES = pytest.mark.parametrize(
     "method, directions, h, w",
     [
         (ScanMethod.HILBERT, tuple(ScanDirection), 16, 16),
@@ -348,11 +388,18 @@ def _rect_pyramid(seed, channels, h, w):
     ],
     ids=["hilbert-8dir", "sweep-non-square"],
 )
+
+
+def _reference_config(method, directions):
+    return DecoderConfig(stage_depths=(1, 1, 1, 1), hss_per_stage=(1, 1, 1, 1),
+                         scan_method=method, directions=directions, state_size=2, seed=5)
+
+
+@_REFERENCE_CASES
 def test_pipeline_within_bound_of_einsum_dwconv(monkeypatch, method, directions, h, w):
     # the decoder's bytes moved only through dwconv2d; running it again on
     # the old depthwise form bounds how far map, loss and image score moved
-    cfg = DecoderConfig(stage_depths=(1, 1, 1, 1), hss_per_stage=(1, 1, 1, 1),
-                        scan_method=method, directions=directions, state_size=2, seed=5)
+    cfg = _reference_config(method, directions)
     pyr = _rect_pyramid(6, 2, h, w)
     params = init_decoder_params(cfg, pyr.channels)
     loss, amap = pipeline_forward(pyr, cfg, params)
@@ -362,6 +409,138 @@ def test_pipeline_within_bound_of_einsum_dwconv(monkeypatch, method, directions,
     assert np.abs(amap.scores.astype(np.float64) - old_map.scores).max() <= tol
     assert abs(loss - old_loss) <= 1e-5 * abs(old_loss)
     assert abs(amap.image_score - old_map.image_score) <= 1e-5 * abs(old_map.image_score)
+
+
+# ------------------------------------------------------- reference decoder
+# A straight-line float64 decoder: loop convolutions, the float64 norm and
+# silu forms, and one step-by-step scan per direction over its whole bank.
+# Nothing is rounded to float32 until the reconstruction is scored.
+
+
+def _ref_conv_block(x, p):
+    conv = _naive_conv2d(x, p.weight, p.bias)
+    return _allocating_silu(_mean_var_norm(conv, p.norm_scale, p.norm_shift, blocks.IN_EPS, (1, 2)))
+
+
+def _ref_pointwise(x, weight, bias):
+    return _naive_conv2d(x, weight[:, :, None, None], bias)
+
+
+def _ref_hss(x, p):
+    _, h, w = x.shape
+    u = _mean_var_norm(x, p.ln_pre_scale, p.ln_pre_shift, blocks.LN_EPS, 0)
+    main = _naive_dwconv2d(_ref_pointwise(u, p.in_weight, p.in_bias), p.dw_weight, p.dw_bias)
+    main = _allocating_silu(main).reshape(p.inner_channels, h * w)
+    scans = np.zeros_like(main)
+    for k, direction in enumerate(p.directions):
+        order = make_schedule(p.method, direction, h, w).order
+        a_bar, b_bar = zoh(p.bank.a[k], p.bank.delta[k][:, None], p.bank.b[k])
+        scans[:, order] += scan_recurrent(a_bar, b_bar, p.bank.c[k], main[:, order])
+    scans = scans.reshape(p.inner_channels, h, w)
+    normed = _mean_var_norm(scans, p.ln_post_scale, p.ln_post_shift, blocks.LN_EPS, 0)
+    gate = _allocating_silu(_ref_pointwise(u, p.gate_weight, p.gate_bias))
+    return _ref_pointwise(normed * gate, p.out_weight, p.out_bias) + x
+
+
+def _ref_lss(x, p):
+    g = x
+    for hp in p.hss:
+        g = _ref_hss(g, hp)
+    branches = [
+        _ref_conv_block(_naive_dwconv2d(_ref_conv_block(x, br.pre), br.dw_weight, br.dw_bias),
+                        br.post)
+        for br in (p.local5, p.local7)
+    ]
+    cat = np.concatenate([g] + branches, axis=0)
+    return _ref_pointwise(cat, p.fuse_weight, p.fuse_bias) + x
+
+
+def _ref_forward(pyr, params):
+    """(loss, map) of the reference decoder on ``pyr``: its float64
+    reconstruction, rounded to float32 once, scored as pipeline_forward
+    scores."""
+    def pool(z):
+        c, h, w = z.shape
+        return z.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+    def up(z):
+        return np.repeat(np.repeat(z, 2, axis=1), 2, axis=2)
+
+    def stage(z, modules):
+        for module in modules:
+            z = _ref_lss(z, module)
+        return z
+
+    s0, s1, s2 = (t.array.astype(np.float64) for t in pyr.scales)
+    t = _ref_conv_block(np.concatenate([pool(pool(s0)), pool(s1), s2]), params.fuse)
+    deep = stage(stage(t, params.stages[0]), params.stages[1])
+    mid = stage(_ref_conv_block(up(deep), params.adapters[0]), params.stages[2])
+    shallow = stage(_ref_conv_block(up(mid), params.adapters[1]), params.stages[3])
+    recon = FeaturePyramid(tuple(Tensor(z) for z in (shallow, mid, deep)))
+    return mse_loss(pyr, recon), anomaly_map(pyr, recon)
+
+
+def _reference_distance(pyr, cfg):
+    """Distances of pipeline_forward from the reference decoder: map (as a
+    share of the reference map's largest value), loss and image score
+    (each relative)."""
+    params = init_decoder_params(cfg, pyr.channels)
+    loss, amap = pipeline_forward(pyr, cfg, params)
+    ref_loss, ref_map = _ref_forward(pyr, params)
+    map_dist = np.abs(amap.scores.astype(np.float64) - ref_map.scores).max()
+    return (map_dist / np.abs(ref_map.scores).max(),
+            abs(loss - ref_loss) / abs(ref_loss),
+            abs(amap.image_score - ref_map.image_score) / abs(ref_map.image_score))
+
+
+# float32 activations between layers against float64 throughout: map, loss
+# and image score each within REFERENCE_TOL of the reference, relative
+REFERENCE_TOL = 1e-5
+
+
+@_REFERENCE_CASES
+def test_pipeline_within_bound_of_reference_decoder(method, directions, h, w):
+    dist = _reference_distance(_rect_pyramid(6, 2, h, w), _reference_config(method, directions))
+    assert max(dist) <= REFERENCE_TOL, dist
+
+
+def _wide_fuse_pyramid(pyr, cfg):
+    """``pyr`` with whole input channels of the fuse ConvB at +-3.4e38,
+    signed as fuse output channel 0's weights and taken, largest weight
+    first, while their |weights| sum to at most 0.9; one cell of the fused
+    grid is negated.  That output channel then holds about +-0.9 * 3.4e38:
+    finite, but spread wider than float32's range."""
+    weights = init_decoder_params(cfg, pyr.channels).fuse.weight[0, :, 0, 0]
+    arrays = [t.array.copy() for t in pyr.scales]
+    inputs = [(s, c) for s, a in enumerate(arrays) for c in range(a.shape[0])]
+    total = 0.0
+    for j in np.argsort(-np.abs(weights)):
+        if total + abs(weights[j]) <= 0.9:
+            s, c = inputs[j]
+            arrays[s][c] = np.float32(3.4e38) * np.sign(weights[j])
+            total += abs(weights[j])
+    assert total > 0.6  # the negated cell sits past float32's range from the mean
+    for s, a in enumerate(arrays):
+        a[:, :4 >> s, :4 >> s] *= -1.0
+    return FeaturePyramid(tuple(Tensor(a) for a in arrays))
+
+
+@_REFERENCE_CASES
+def test_pipeline_extreme_magnitudes_within_bound_of_reference(method, directions, h, w):
+    # 4 x 4 blocks of +-3e38 and +-1e25 in one top-scale channel survive the
+    # two 2 x 2 pools into the fuse ConvB, whose norm then centres values
+    # whose float32 squares would overflow
+    cfg = _reference_config(method, directions)
+    pyr = _rect_pyramid(6, 2, h, w)
+    top = pyr.scales[0].array.copy()
+    for (r, c), value in zip([(0, 0), (0, 4), (4, 0), (4, 4)], [3e38, -3e38, 1e25, -1e25]):
+        top[0, r:r + 4, c:c + 4] = value
+    blocks_pyr = FeaturePyramid((Tensor(top),) + pyr.scales[1:])
+    for extreme in (blocks_pyr, _wide_fuse_pyramid(pyr, cfg)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = _reference_distance(extreme, cfg)
+        assert max(dist) <= REFERENCE_TOL, dist
 
 
 def test_conv_block_constant_input_zeroes_out():
